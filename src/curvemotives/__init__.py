@@ -37,7 +37,6 @@ from .curves import (
 from .moduli import (
     InversionSpec,
     behrend_dhillon_bun,
-    bgm_chi,
     bun_chi,
     compositions,
     cross_mode_agreement,

@@ -25,12 +25,13 @@ from .realize import (
     newstead_oracle,
     realize,
 )
-from .series import GenusContext, UnitSign, geom_unit_inverse
+from .series import GenusContext
 
 __all__ = [
     "CheckReport",
     "available_checks",
     "check_statement",
+    "min_window_ceiling",
     "run_check",
     "run_suite",
     "reports_to_json",
@@ -151,9 +152,7 @@ def _run_motiviczeta_closed_form(g, window):
     ctx = _adic(g, window)
     steps = []
     for i in (1, 2, 3):
-        closed = (curves.binomial_h1_series(ctx, i)
-                  * geom_unit_inverse(ctx, i, UnitSign.ONE_MINUS_L_I)
-                  * geom_unit_inverse(ctx, i + 1, UnitSign.ONE_MINUS_L_I))
+        closed = curves.binomial_h1_series(ctx, i).div_unit(i).div_unit(i + 1)
         steps.append(("i=%d" % i, curves.zeta_at_lefschetz(ctx, i).equals(closed)))
     ok, details, witness, win = _fold(steps)
     return _pass_fail(ok), details, [], witness, win
@@ -363,13 +362,22 @@ def _run_count_cross_check(g, window):
 # -- registry --------------------------------------------------------------
 
 
+def _rank3_ceiling(g):
+    # the rank-3 moduli class is supported up to L^{8g-8}
+    return 8 * g - 8
+
+
 @dataclass(frozen=True)
 class CheckSpec:
+    """``min_ceiling(g)`` is the smallest adic window ceiling at which the
+    check is sound at genus g; below it the verdict is meaningless."""
+
     statement: str
     mode: str
     runner: object
     min_genus: int = 2
     only_genus: int | None = None
+    min_ceiling: object = lambda g: 0
 
     def applies(self, g):
         if self.only_genus is not None:
@@ -381,7 +389,7 @@ CHECKS = {
     "zeta-rationality": CheckSpec(
         "The zeta series times (1-t)(1-Lt) is a polynomial of t-degree 2g "
         "whose t^k coefficient is the k-th exterior power class.",
-        "adic", _run_zeta_rationality),
+        "adic", _run_zeta_rationality, min_ceiling=lambda g: 4 * g),
     "functional-equation": CheckSpec(
         "Numerator symmetry: the degree-a exterior power times L^g equals "
         "the degree-(2g-a) exterior power times L^a, for a = 0..2g.",
@@ -412,7 +420,7 @@ CHECKS = {
     "rank3": CheckSpec(
         "The rank-3 fixed-determinant moduli class is supported in [0, 8g-8] "
         "and equals the two-index symmetric-power template.",
-        "adic", _run_rank3),
+        "adic", _run_rank3, min_ceiling=_rank3_ceiling),
     "rank3-x-identity": CheckSpec(
         "The four-term exponent identity behind the collapse of the "
         "[J]-linear part holds in Z[x] for every 0 <= k <= g-2.",
@@ -421,18 +429,18 @@ CHECKS = {
         "The three series multiplying [J]^2 in the rank-3 subtraction cancel "
         "exactly, each matching its displayed closed form, and the "
         "[J]-linear part collapses to its closed form.",
-        "adic", _run_j_squared),
+        "adic", _run_j_squared, min_ceiling=lambda g: 4 * g - 4),
     "inversion-consistency": CheckSpec(
         "The composition-indexed inversion sum for (rank, degree) = (2,1) "
         "and (3,1) has integral exponents and equals exactly one of the "
         "fixed-determinant moduli class or the Jacobian times it.",
-        "adic", _run_inversion),
+        "adic", _run_inversion, min_ceiling=_rank3_ceiling),
     "behrend-dhillon": CheckSpec(
         "The dimensional bundle-stack class L^{(r^2-1)(g-1)} "
         "prod_{i=2..r} Z(C, L^{-i}) has top coefficient 1 at its dimension, "
         "and the moduli classes built from it agree with the adic ones "
         "coefficient by coefficient.",
-        "dimensional", _run_behrend_dhillon),
+        "dimensional", _run_behrend_dhillon, min_ceiling=_rank3_ceiling),
     "var-rank2": CheckSpec(
         "Dimensional rank-2 pipeline: stack minus stratumwise unstable sum "
         "equals the decomposition template and matches the adic class; the "
@@ -443,27 +451,27 @@ CHECKS = {
         "Dimensional rank-3 pipeline: stack minus Harder-Narasimhan "
         "corrections equals the decomposition template and matches the adic "
         "class.",
-        "dimensional", _run_var_rank3),
+        "dimensional", _run_var_rank3, min_ceiling=lambda g: 1),
     "unstable-rank2-hn-sum": CheckSpec(
         "The stratumwise unstable rank-2 sum (degree-d stratum "
         "[J] L^{g-2d}/(L-1)) equals its closed form [J] L^g/((L-1)(L^2-1)); "
         "the top surviving exponent is 2g-3.",
-        "dimensional", _run_unstable_hn_sum),
+        "dimensional", _run_unstable_hn_sum, min_ceiling=lambda g: 1),
     "realize-poincare-rank2": CheckSpec(
         "The Poincare realization of the rank-2 decomposition equals the "
         "independent closed form "
         "((1+t^3)^{2g} - t^{2g}(1+t)^{2g}) / ((1-t^2)(1-t^4)).",
-        "adic", _run_realize_poincare),
+        "adic", _run_realize_poincare, min_ceiling=lambda g: 3 * g - 3),
     "realize-hodge-consistency": CheckSpec(
         "The Hodge realization at u = v = t reproduces the Poincare "
         "realization on the rank-2 and rank-3 moduli classes, the Jacobian, "
         "and the symmetric powers up to 2g.",
-        "adic", _run_realize_hodge),
+        "adic", _run_realize_hodge, min_ceiling=_rank3_ceiling),
     "count-cross-check": CheckSpec(
         "For the genus-2 curve y^2 = x^5 - x over F_3 (points counted by "
         "brute force at run time), the counting realization of each "
         "symmetric power up to k = 6 equals the divisor-count recurrence.",
-        "adic", _run_count_cross_check, only_genus=2),
+        "adic", _run_count_cross_check, only_genus=2, min_ceiling=lambda g: 6),
 }
 
 
@@ -473,6 +481,14 @@ def available_checks():
 
 def check_statement(check_id):
     return CHECKS[check_id].statement
+
+
+def min_window_ceiling(check_ids, genus_list):
+    """The largest window ceiling that the checks need over the genus list,
+    as (ceiling, check id, genus); (0, None, None) when nothing applies."""
+    return max(((CHECKS[cid].min_ceiling(g), cid, g)
+                for cid in check_ids for g in genus_list if CHECKS[cid].applies(g)),
+               default=(0, None, None))
 
 
 def run_check(check_id, g, window=None) -> CheckReport:

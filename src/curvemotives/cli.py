@@ -11,6 +11,7 @@ from . import __version__
 from .checks import (
     available_checks,
     check_statement,
+    min_window_ceiling,
     reports_to_json,
     run_suite,
     WORKERS_ENV_VAR,
@@ -20,13 +21,6 @@ from .moduli import m2_chi, m3_chi
 from .polys import IntPoly, IntPoly2
 from .realize import CountingData, HODGE, POINCARE, count_target, realize
 from .series import GenusContext
-
-# checks whose adic pipeline touches the rank-3 moduli class, which is
-# supported up to L^{8g-8}; a window override must keep that in view
-_NEEDS_RANK3_CEILING = {
-    "rank3", "inversion-consistency", "realize-hodge-consistency",
-    "behrend-dhillon",
-}
 
 
 def build_parser():
@@ -81,14 +75,11 @@ def _validate_verify(parser, args):
         lo, hi = window
         if not lo <= 0 <= hi:
             parser.error("window must contain 0, got [%d, %d]" % (lo, hi))
-        gmax = max(genus)
         selected = check_ids if check_ids is not None else available_checks()
-        if set(selected) & _NEEDS_RANK3_CEILING and hi < 8 * gmax - 8:
-            parser.error("window ceiling %d cannot hold the rank-3 class "
-                         "at genus %d (needs >= %d)" % (hi, gmax, 8 * gmax - 8))
-        if "zeta-rationality" in selected and hi < 4 * gmax:
-            parser.error("window ceiling %d cannot hold the zeta series "
-                         "at genus %d (needs >= %d)" % (hi, gmax, 4 * gmax))
+        need, cid, g = min_window_ceiling(selected, genus)
+        if hi < need:
+            parser.error("window ceiling %d is too low for %s at genus %d "
+                         "(needs >= %d)" % (hi, cid, g, need))
     return genus, check_ids, window
 
 

@@ -12,8 +12,6 @@ from .series import (
     CoeffPoly,
     Mode,
     MotiveSeries,
-    UnitSign,
-    geom_unit_inverse,
     lambda_class,
     lefschetz_power,
     one,
@@ -204,15 +202,11 @@ def dec_zeta_rhs(ctx, i: int) -> MotiveSeries:
     out = dec_zeta_finite_part(ctx, i)
     jac = jacobian_class(ctx)
     if ctx.mode is Mode.ADIC:
-        tail = jac.shift(i * g)
-        tail = tail * geom_unit_inverse(ctx, i, UnitSign.ONE_MINUS_L_I)
-        tail = tail * geom_unit_inverse(ctx, i + 1, UnitSign.ONE_MINUS_L_I)
+        tail = jac.shift(i * g).div_unit(i).div_unit(i + 1)
     else:
         if i < 2:
             raise ValueError("dimensional decomposition needs i >= 2, got %d" % i)
-        tail = jac.shift((i - 1) * g)
-        tail = tail * geom_unit_inverse(ctx, i - 1, UnitSign.L_I_MINUS_ONE)
-        tail = tail * geom_unit_inverse(ctx, i, UnitSign.L_I_MINUS_ONE)
+        tail = jac.shift((i - 1) * g).div_unit(i - 1).div_unit(i)
     return out + tail
 
 

@@ -29,8 +29,6 @@ from .series import (
     GenusContext,
     Mode,
     MotiveSeries,
-    UnitSign,
-    geom_unit_inverse,
     lefschetz_power,
     one,
     zero,
@@ -38,7 +36,6 @@ from .series import (
 
 __all__ = [
     "bun_chi",
-    "bgm_chi",
     "unstable_rank2_chi",
     "m2_chi",
     "rank2_template_blocks",
@@ -80,38 +77,29 @@ def _require_dimensional(ctx):
         raise ValueError("this construction lives in the dimensional completion")
 
 
-def _inv(ctx, i):
-    """Mode-appropriate geometric inverse of the degree-i unit."""
-    sign = UnitSign.ONE_MINUS_L_I if ctx.mode is Mode.ADIC else UnitSign.L_I_MINUS_ONE
-    return geom_unit_inverse(ctx, i, sign)
-
-
 # -- adic-mode pipelines ---------------------------------------------------
 
 
 def bun_chi(ctx, r: int) -> MotiveSeries:
     """Class of the stack of rank-r bundles with fixed odd-degree determinant:
-    the product of the zeta evaluations at L^1 .. L^{r-1}."""
+    the product of the zeta evaluations at L^1 .. L^{r-1}, built as the
+    product of their numerators (1+L^i)^{h1} divided by the units."""
     _require_adic(ctx)
     if r not in (2, 3):
         raise ValueError("rank must be 2 or 3, got %d" % r)
-    out = zeta_at_lefschetz(ctx, 1)
+    out = binomial_h1_series(ctx, 1)
     for i in range(2, r):
-        out = out * zeta_at_lefschetz(ctx, i)
+        out = out * binomial_h1_series(ctx, i)
+    for i in range(1, r):
+        out = out.div_unit(i).div_unit(i + 1)
     return out
-
-
-def bgm_chi(ctx) -> MotiveSeries:
-    """Class of the classifying stack of the multiplicative group:
-    the geometric inverse of the degree-one unit."""
-    return _inv(ctx, 1)
 
 
 def unstable_rank2_chi(ctx) -> MotiveSeries:
     """Unstable rank-2 stratum: [J] L^g / ((1-L)(1-L^2))."""
     _require_adic(ctx)
     g = ctx.g
-    return (jacobian_class(ctx) * _inv(ctx, 1) * _inv(ctx, 2)).shift(g)
+    return jacobian_class(ctx).div_unit(1).div_unit(2).shift(g)
 
 
 def m2_chi(ctx) -> MotiveSeries:
@@ -167,19 +155,23 @@ def unstable_rank3_chi(ctx) -> MotiveSeries:
         L^{2g-1}(1+L)/((1-L)(1-L^3)) * [J] Z(C,L)
         - L^{3g-1}/((1-L)^2(1-L^2)^2) * [J]^2
 
-    and insists they agree before returning."""
+    and insists they agree before returning.  Z(C,L) enters through its
+    numerator (1+L)^{h1}: every product is with a finite class, and the
+    units are divided out as running sums."""
     _require_adic(ctx)
     g = ctx.g
     jac = jacobian_class(ctx)
-    z1 = zeta_at_lefschetz(ctx, 1)
-    i1, i2, i3 = _inv(ctx, 1), _inv(ctx, 2), _inv(ctx, 3)
+    h1 = binomial_h1_series(ctx, 1)  # Z(C,L) (1-L)(1-L^2)
     ell = lefschetz_power(ctx, 1)
-    jb = jac * i1  # [J] * [B Gm]
-    lin_raw = (jb * i3 * z1).shift(2 * g) + (jb * i3 * z1).shift(2 * g - 1)
-    quad_raw = (jb * jb * i2 * i2).shift(3 * g - 1)
+    jb = jac.div_unit(1)  # [J] * [B Gm]
+    lin = (jb.div_unit(3) * h1).div_unit(1).div_unit(2)
+    lin_raw = lin.shift(2 * g) + lin.shift(2 * g - 1)
+    quad_raw = (jb * jac).div_unit(1).div_unit(2).div_unit(2).shift(3 * g - 1)
     raw = lin_raw - quad_raw
-    lin_red = ((one(ctx) + ell) * i1 * i3 * jac * z1).shift(2 * g - 1)
-    quad_red = (i1 * i1 * i2 * i2 * jac * jac).shift(3 * g - 1)
+    lin_red = (((one(ctx) + ell) * jac * h1)
+               .div_unit(1).div_unit(3).div_unit(1).div_unit(2).shift(2 * g - 1))
+    quad_red = ((jac * jac).div_unit(1).div_unit(1).div_unit(2).div_unit(2)
+                .shift(3 * g - 1))
     reduced = lin_red - quad_red
     agree = raw.equals(reduced)
     if not agree:
@@ -241,14 +233,13 @@ def j_squared_cancellation(ctx):
     displayed closed form.  Returns [(label, Comparison), ...]."""
     _require_adic(ctx)
     g = ctx.g
-    i1, i2, i3 = _inv(ctx, 1), _inv(ctx, 2), _inv(ctx, 3)
     ell = lefschetz_power(ctx, 1)
-    u1 = (i1 * i2).shift(g)        # J-tail factor of Z(C, L)
-    u2 = (i2 * i3).shift(2 * g)    # J-tail factor of Z(C, L^2)
+    u1 = one(ctx).div_unit(1).div_unit(2).shift(g)      # J-tail factor of Z(C, L)
+    u2 = one(ctx).div_unit(2).div_unit(3).shift(2 * g)  # J-tail factor of Z(C, L^2)
     stack_term = u1 * u2
-    lin_term = ((one(ctx) + ell) * i1 * i3).shift(2 * g - 1) * u1
-    quad_term = (i1 * i1 * i2 * i2).shift(3 * g - 1)
-    common = i1 * i2 * i2 * i3
+    lin_term = (one(ctx) + ell).div_unit(1).div_unit(3).shift(2 * g - 1) * u1
+    quad_term = one(ctx).div_unit(1).div_unit(1).div_unit(2).div_unit(2).shift(3 * g - 1)
+    common = one(ctx).div_unit(1).div_unit(2).div_unit(2).div_unit(3)
     return [
         ("sum-vanishes", (stack_term - lin_term + quad_term).equals(zero(ctx))),
         ("stack-term-form", stack_term.equals(common.shift(3 * g))),
@@ -269,19 +260,18 @@ def j_linear_closed_form(ctx) -> Comparison:
     """
     _require_adic(ctx)
     g = ctx.g
-    i1, i2, i3 = _inv(ctx, 1), _inv(ctx, 2), _inv(ctx, 3)
     ell = lefschetz_power(ctx, 1)
     a1 = dec_zeta_finite_part(ctx, 1)
     a2 = dec_zeta_finite_part(ctx, 2)
     b1 = rank2_decomposition(ctx)  # the same sum as a1, regrouped
-    lhs = ((a1 * i2 * i3).shift(2 * g)
-           + (a2 * i1 * i2).shift(g)
-           - (b1 * (one(ctx) + ell) ** 2 * i2 * i3).shift(2 * g - 1))
+    lhs = (a1.div_unit(2).div_unit(3).shift(2 * g)
+           + a2.div_unit(1).div_unit(2).shift(g)
+           - (b1 * (one(ctx) + ell) ** 2).div_unit(2).div_unit(3).shift(2 * g - 1))
     rhs = zero(ctx)
     for k in range(0, g - 1):
         numer = ((one(ctx) - lefschetz_power(ctx, g - 1 - k))
                  * (one(ctx) - lefschetz_power(ctx, 4 * g - 4 - 4 * k)))
-        rhs = rhs + (sym_power_class(ctx, k) * numer * i1 * i2).shift(2 * k + g)
+        rhs = rhs + (sym_power_class(ctx, k) * numer).div_unit(1).div_unit(2).shift(2 * k + g)
     return lhs.equals(rhs)
 
 
@@ -362,12 +352,16 @@ def inversion_formula(ctx, spec: InversionSpec) -> MotiveSeries:
     total = zero(ctx)
     for comp in spec.compositions():
         s = len(comp)
-        term = jac ** s * _inv(ctx, 1) ** (s - 1)
+        # the finite numerator first, then one running sum per unit
+        term = jac ** s
+        units = [1] * (s - 1)
         for nj in comp:
             for i in range(1, nj):
-                term = term * binomial_h1_series(ctx, i) * _inv(ctx, i) * _inv(ctx, i + 1)
-        for j in range(s - 1):
-            term = term * _inv(ctx, comp[j] + comp[j + 1])
+                term = term * binomial_h1_series(ctx, i)
+                units += [i, i + 1]
+        units += [comp[j] + comp[j + 1] for j in range(s - 1)]
+        for i in units:
+            term = term.div_unit(i)
         term = term.shift(inversion_exponent(g, spec, comp))
         if s % 2 == 0:
             term = -term
@@ -405,7 +399,7 @@ def behrend_dhillon_bun(ctx, r: int) -> MotiveSeries:
 def unstable_rank2_var_closed(ctx) -> MotiveSeries:
     """Closed form of the rank-2 unstable class: [J] L^g / ((L-1)(L^2-1))."""
     _require_dimensional(ctx)
-    return (jacobian_class(ctx) * _inv(ctx, 1) * _inv(ctx, 2)).shift(ctx.g)
+    return jacobian_class(ctx).div_unit(1).div_unit(2).shift(ctx.g)
 
 
 def unstable_rank2_var_sum(ctx) -> MotiveSeries:
@@ -417,7 +411,7 @@ def unstable_rank2_var_sum(ctx) -> MotiveSeries:
     _require_dimensional(ctx)
     g = ctx.g
     w = ctx.window
-    jb = jacobian_class(ctx) * _inv(ctx, 1)
+    jb = jacobian_class(ctx).div_unit(1)
     out = zero(ctx)
     d = 1
     # the degree-d term has true support bounded above by 2g - 2d - 1
@@ -445,11 +439,13 @@ def m3_var(ctx) -> MotiveSeries:
     _require_dimensional(ctx)
     g = ctx.g
     jac = jacobian_class(ctx)
-    i1, i2, i3 = _inv(ctx, 1), _inv(ctx, 2), _inv(ctx, 3)
     zrep = zeta_at_lefschetz(ctx, -2).shift(3 * (g - 1))  # stands in for Z(C, L)
+    # the factor order is that of the expanded products: in this mode the
+    # validity floor of a product depends on it
     lin = ((lefschetz_power(ctx, 2 * g) + lefschetz_power(ctx, 2 * g - 1))
-           * i1 * i3 * jac * zrep)
-    quad = (i1 * i1 * i2 * i2 * jac * jac).shift(3 * g - 1)
+           .div_unit(1).div_unit(3) * jac * zrep)
+    quad = (one(ctx).div_unit(1).div_unit(1).div_unit(2).div_unit(2)
+            * jac * jac).shift(3 * g - 1)
     return behrend_dhillon_bun(ctx, 3) - lin + quad
 
 

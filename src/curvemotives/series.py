@@ -509,6 +509,49 @@ class MotiveSeries:
         acc = {k + e: p for k, p in self.coeffs.items() if vlo <= k + e <= vhi}
         return MotiveSeries(self.ctx, acc, vlo, vhi)
 
+    def div_unit(self, i):
+        """Divide by 1 - L^i (adic) or L^i - 1 (dimensional) as a running sum.
+
+        ADIC: out[e] = x[e] + out[e-i].  DIMENSIONAL: out[e] = x[e+i] +
+        out[e+i].  The result, its validity range and any error are exactly
+        those of ``self * geom_unit_inverse(ctx, i, sign)``, without
+        materializing the geometric series."""
+        if i < 1:
+            raise ValueError("unit exponent must be positive, got i=%d" % i)
+        w = self.ctx.window
+        # The ranges below are those of the product with the inverse, whose
+        # support is 0, i, 2i, .. (adic) or -i, -2i, .. (dimensional) and
+        # whose validity range is the whole window.
+        if self.mode is Mode.ADIC:
+            if w.lo > 0:
+                raise ValueError("support at L^0 below the adic window floor %d" % w.lo)
+            fx = self._support_floor()
+            fy = 0 if w.hi >= 0 else w.hi + 1
+            vlo, vhi = w.lo, min(w.hi, self.valid_hi + fy, w.hi + fx)
+            steps, src, back = range(fx, vhi + 1), 0, -i
+        else:
+            if -i > w.hi:
+                raise ValueError(
+                    "support at L^%d above the dimensional ceiling %d" % (-i, w.hi))
+            cx = self._support_ceiling()
+            cy = -i if -i >= w.lo else w.lo - 1
+            vlo, vhi = max(w.lo, self.valid_lo + cy, w.lo + cx), w.hi
+            steps, src, back = range(cx - i, vlo - 1, -1), i, i
+        if vlo > vhi:
+            raise ValueError("product has empty validity range (window too narrow)")
+        coeffs, acc = self.coeffs, {}
+        for e in steps:  # out[e] = x[e + src] + out[e + back]
+            here = coeffs.get(e + src)
+            prev = acc.get(e + back)
+            if prev is None:
+                if here is not None:
+                    acc[e] = here
+            elif here is None:
+                acc[e] = prev
+            else:
+                acc[e] = prev + here
+        return MotiveSeries(self.ctx, acc, vlo, vhi)
+
     def restricted(self, lo=None, hi=None):
         """Re-truncate to a narrower window.  Only the truncated side may move."""
         w = self.ctx.window

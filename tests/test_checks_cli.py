@@ -157,6 +157,37 @@ def test_cli_verify_usage_errors(capsys):
         capsys.readouterr()
 
 
+# the smallest window ceiling at which each check is sound; below it the
+# check would report a false fail, so verify must refuse the window
+WINDOW_CEILINGS = {
+    "zeta-rationality": lambda g: 4 * g,
+    "rank3": lambda g: 8 * g - 8,
+    "j-squared-cancellation": lambda g: 4 * g - 4,
+    "inversion-consistency": lambda g: 8 * g - 8,
+    "behrend-dhillon": lambda g: 8 * g - 8,
+    "var-rank3": lambda g: 1,
+    "unstable-rank2-hn-sum": lambda g: 1,
+    "realize-poincare-rank2": lambda g: 3 * g - 3,
+    "realize-hodge-consistency": lambda g: 8 * g - 8,
+    "count-cross-check": lambda g: 6,
+}
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_cli_verify_window_ceilings(g, capsys):
+    for cid in available_checks():
+        if cid == "count-cross-check" and g != 2:
+            continue
+        need = WINDOW_CEILINGS.get(cid, lambda g: 0)(g)
+        base = ["verify", "--genus", str(g), "--checks", cid, "--window", "0"]
+        if need > 0:
+            with pytest.raises(SystemExit) as err:
+                main(base + [str(need - 1)])
+            assert err.value.code == 2, cid
+        assert main(base + [str(need)]) == 0, cid
+        capsys.readouterr()
+
+
 def test_cli_realize_poincare(capsys):
     assert main(["realize", "--target", "poincare", "--class", "m2",
                  "--genus", "2"]) == 0

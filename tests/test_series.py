@@ -1,12 +1,15 @@
 """Window, validity, and ring behavior of the truncated series layer."""
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from curvemotives.series import (
     CoeffPoly,
     GenusContext,
     Mode,
     MotiveSeries,
+    TruncationWindow,
     UnitSign,
     equals,
     geom_unit_inverse,
@@ -170,6 +173,66 @@ def test_geom_unit_inverse_wrong_sign_for_mode():
         geom_unit_inverse(GenusContext.adic(2), 1, UnitSign.L_I_MINUS_ONE)
     with pytest.raises(ValueError):
         geom_unit_inverse(GenusContext.dimensional(2), 1, UnitSign.ONE_MINUS_L_I)
+
+
+def _outcome(fn):
+    """(result, None) or (None, message) of a call that may raise ValueError."""
+    try:
+        return fn(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _div_unit_outcomes(x, i):
+    sign = UnitSign.ONE_MINUS_L_I if x.mode is Mode.ADIC else UnitSign.L_I_MINUS_ONE
+    want = _outcome(lambda: x * geom_unit_inverse(x.ctx, i, sign))
+    got = _outcome(lambda: x.div_unit(i))
+    return got, want
+
+
+@st.composite
+def _division_cases(draw):
+    """A series with a partial validity range on a window around 0, and a
+    unit exponent."""
+    mode = draw(st.sampled_from([Mode.ADIC, Mode.DIMENSIONAL]))
+    lo = draw(st.integers(-10, 4))
+    hi = lo + draw(st.integers(0, 14))
+    ctx = GenusContext(2, TruncationWindow(lo, hi, mode))
+    coeffs = {}
+    for e in draw(st.lists(st.integers(lo, hi), max_size=6)):
+        mono = (draw(st.integers(0, 2)), draw(st.integers(0, 1)))
+        coeffs[e] = CoeffPoly.single(2, mono, draw(st.integers(-3, 3)))
+    valid_lo = draw(st.integers(lo, hi))
+    valid_hi = draw(st.integers(valid_lo, hi))
+    return MotiveSeries(ctx, coeffs, valid_lo, valid_hi), draw(st.integers(1, 6))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_division_cases())
+def test_div_unit_matches_product_with_inverse(case):
+    # same coefficients and validity range (MotiveSeries ==), or same error
+    got, want = _div_unit_outcomes(*case)
+    assert got == want
+
+
+@pytest.mark.parametrize("mode,lo,hi,raises", [
+    (Mode.ADIC, 0, 20, False),
+    (Mode.ADIC, -5, 12, False),
+    (Mode.ADIC, 2, 12, True),            # floor above 0: no inverse fits
+    (Mode.DIMENSIONAL, -20, 3, False),
+    (Mode.DIMENSIONAL, -20, -7, True),   # ceiling below -i for every i <= 6
+    (Mode.DIMENSIONAL, -3, 8, False),    # floor above -i for large i
+])
+def test_div_unit_edge_windows(mode, lo, hi, raises):
+    ctx = GenusContext(2, TruncationWindow(lo, hi, mode))
+    mid = (lo + hi) // 2
+    x = MotiveSeries(ctx, {lo if mode is Mode.ADIC else hi: CoeffPoly.one(2),
+                           mid: CoeffPoly.single(2, (1, 0), 2)},
+                     valid_lo=lo + 1, valid_hi=hi - 1)  # each mode pins its hard end
+    for i in range(0, 7):
+        got, want = _div_unit_outcomes(x, i)
+        assert got == want
+        assert (got[0] is None) == (raises or i == 0)
 
 
 def test_coefficient_respects_validity():
