@@ -416,11 +416,11 @@ CHECKS = {
         "The rank-2 fixed-determinant moduli class (bundle stack minus "
         "unstable stratum) is supported in [0, 3g-3] and equals "
         "sum_{k<=g-2} [C_k](L^k + L^{3g-3-2k}) + [C_{g-1}] L^{g-1}.",
-        "adic", _run_rank2),
+        "adic", _run_rank2, min_ceiling=lambda g: 3 * g - 2),
     "rank3": CheckSpec(
         "The rank-3 fixed-determinant moduli class is supported in [0, 8g-8] "
         "and equals the two-index symmetric-power template.",
-        "adic", _run_rank3, min_ceiling=_rank3_ceiling),
+        "adic", _run_rank3, min_ceiling=lambda g: 8 * g - 7),
     "rank3-x-identity": CheckSpec(
         "The four-term exponent identity behind the collapse of the "
         "[J]-linear part holds in Z[x] for every 0 <= k <= g-2.",
@@ -492,13 +492,17 @@ def min_window_ceiling(check_ids, genus_list):
 
 
 def run_check(check_id, g, window=None) -> CheckReport:
-    """Run one check at one genus and materialize its report.  Unexpected
+    """Run one check at one genus and materialize its report.  A window
+    below the check's ``min_ceiling`` is refused with ValueError; unexpected
     arithmetic errors inside a runner become a failing report, not a crash."""
     if check_id not in CHECKS:
         raise ValueError("unknown check %r" % (check_id,))
     spec = CHECKS[check_id]
     if not spec.applies(g):
         raise ValueError("check %s does not apply at genus %d" % (check_id, g))
+    if window is not None and window[1] < spec.min_ceiling(g):
+        raise ValueError("window ceiling %d is too low for %s at genus %d "
+                         "(needs >= %d)" % (window[1], check_id, g, spec.min_ceiling(g)))
     start = time.perf_counter()
     try:
         verdict, details, notes, witness, win = spec.runner(g, window)

@@ -58,7 +58,8 @@ def _sym_terms(g, k):
 
 
 def _series_from_raw(ctx, raw):
-    return MotiveSeries(ctx, {e: CoeffPoly(ctx.g, row) for e, row in raw.items()})
+    # the rows of _sym_terms are canonical tuples with positive counts
+    return MotiveSeries(ctx, {e: CoeffPoly._trusted(ctx.g, row) for e, row in raw.items()})
 
 
 def sym_power_class(ctx, k: int) -> MotiveSeries:
@@ -111,9 +112,6 @@ class ZetaSeries:
         if not 0 <= k <= self.t_max:
             raise ValueError("t-degree %d outside [0, %d]" % (k, self.t_max))
         return self._coeffs[k]
-
-    def __len__(self):
-        return self.t_max + 1
 
 
 def zeta_series(ctx, t_max: int | None = None) -> ZetaSeries:

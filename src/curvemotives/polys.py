@@ -1,5 +1,9 @@
 """Small exact polynomial helpers over Z, used by the numeric oracles and
-the x-variable identity check.  Sparse dicts, integer coefficients only."""
+the x-variable identity check.  Sparse dicts, integer coefficients only.
+
+The constructors drop zero coefficients from what they are given; the ring
+operations drop them as they go and build their results through
+``_trusted``."""
 
 from __future__ import annotations
 
@@ -13,6 +17,13 @@ class IntPoly:
 
     def __init__(self, terms=None):
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def _trusted(cls, terms):
+        """Wrap ``terms`` as is; every coefficient must be nonzero."""
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
 
     @classmethod
     def x(cls, e=1):
@@ -36,15 +47,19 @@ class IntPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return IntPoly({e: -c for e, c in self.terms.items()})
+        return IntPoly._trusted({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, int):
             other = IntPoly.const(other)
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return IntPoly(acc)
+            s = acc.get(e, 0) + c
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+        return IntPoly._trusted(acc)
 
     __radd__ = __add__
 
@@ -63,12 +78,18 @@ class IntPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return IntPoly(acc)
+                s = acc.get(e, 0) + c1 * c2
+                if s:
+                    acc[e] = s
+                elif e in acc:
+                    del acc[e]
+        return IntPoly._trusted(acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only non-negative integer powers are defined")
         out = IntPoly.const(1)
         base = self
         while n:
@@ -148,6 +169,13 @@ class IntPoly2:
         self.terms = {ij: c for ij, c in (terms or {}).items() if c != 0}
 
     @classmethod
+    def _trusted(cls, terms):
+        """Wrap ``terms`` as is; every coefficient must be nonzero."""
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
+
+    @classmethod
     def const(cls, n):
         return cls({(0, 0): n})
 
@@ -169,15 +197,19 @@ class IntPoly2:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return IntPoly2({ij: -c for ij, c in self.terms.items()})
+        return IntPoly2._trusted({ij: -c for ij, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, int):
             other = IntPoly2.const(other)
         acc = dict(self.terms)
         for ij, c in other.terms.items():
-            acc[ij] = acc.get(ij, 0) + c
-        return IntPoly2(acc)
+            s = acc.get(ij, 0) + c
+            if s:
+                acc[ij] = s
+            else:
+                del acc[ij]
+        return IntPoly2._trusted(acc)
 
     __radd__ = __add__
 
@@ -193,12 +225,18 @@ class IntPoly2:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 ij = (i1 + i2, j1 + j2)
-                acc[ij] = acc.get(ij, 0) + c1 * c2
-        return IntPoly2(acc)
+                s = acc.get(ij, 0) + c1 * c2
+                if s:
+                    acc[ij] = s
+                elif ij in acc:
+                    del acc[ij]
+        return IntPoly2._trusted(acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only non-negative integer powers are defined")
         out = IntPoly2.const(1)
         base = self
         while n:

@@ -17,8 +17,11 @@ or the constructor refuses the data.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 from .polys import IntPoly, IntPoly2
@@ -155,23 +158,35 @@ def _lefschetz_image(target):
 
 
 def realize(series, target):
-    """Apply the target homomorphism to a polynomial class, monomial by
-    monomial.  The stored coefficients are taken at face value, so only
-    feed this classes that are genuinely polynomial (moduli classes,
-    symmetric powers, the Jacobian)."""
-    g = series.g
-    lam = _lambda_images(target, g)
+    """Apply the target homomorphism to a polynomial class, exponent by
+    exponent: the image of each coefficient is summed from the cached
+    images of its monomials, then multiplied by the image of L^e once.
+    The stored coefficients are taken at face value, so only feed this
+    classes that are genuinely polynomial (moduli classes, symmetric
+    powers, the Jacobian)."""
+    lam = _lambda_images(target, series.g)
     ell = _lefschetz_image(target)
+    images = {}
+    powers = [lam[0]]  # images of L^0, L^1, ..
+
+    def term(mono, n):
+        image = images.get(mono)
+        if image is None:
+            image = lam[0]
+            for i, ei in enumerate(mono):
+                if ei:
+                    image = image * lam[i + 1] ** ei
+            images[mono] = image
+        return image if n == 1 else n * image
+
     total = 0
     for e, c in series.coeffs.items():
-        if e < 0 and target.kind == "count":
-            raise ValueError("counting realization needs nonnegative exponents")
-        for mono, n in c.items():
-            term = n
-            for i, ei in enumerate(mono):
-                for _ in range(ei):
-                    term = term * lam[i + 1]
-            total = total + term * ell ** e
+        if e < 0:
+            raise ValueError("realization needs nonnegative exponents, got L^%d" % e)
+        while len(powers) <= e:
+            powers.append(powers[-1] * ell)
+        value = reduce(operator.add, itertools.starmap(term, c.terms.items()))
+        total = total + value * powers[e]
     return total
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -120,7 +121,7 @@ def _unit_mono(g):
 
 
 def _mono_mul(m, n):
-    return tuple(a + b for a, b in zip(m, n))
+    return tuple(map(operator.add, m, n))
 
 
 def _mono_str(mono):
@@ -141,6 +142,10 @@ class CoeffPoly:
     ``terms`` maps an exponent vector (m1, ..., mg) -- mi the multiplicity of
     li -- to a nonzero integer.  The all-zero vector is the unit.  Instances
     are treated as immutable.
+
+    The public constructor validates what it is given; the ring operations
+    build their results through ``_trusted``, because their monomials are
+    already canonical and they never store a zero coefficient.
     """
 
     __slots__ = ("g", "terms")
@@ -159,6 +164,15 @@ class CoeffPoly:
                     raise ValueError("bad monomial %r for genus %d" % (mono, g))
                 clean[mono] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, g, terms):
+        """Wrap ``terms`` as is: length-g tuples of non-negative ints mapped
+        to nonzero ints.  The dict is taken over, not copied."""
+        self = object.__new__(cls)
+        self.g = g
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls, g):
@@ -195,7 +209,7 @@ class CoeffPoly:
         return hash((self.g, frozenset(self.terms.items())))
 
     def __neg__(self):
-        return CoeffPoly(self.g, {m: -c for m, c in self.terms.items()})
+        return CoeffPoly._trusted(self.g, {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -208,7 +222,7 @@ class CoeffPoly:
                 acc[m] = s
             elif m in acc:
                 del acc[m]
-        return CoeffPoly(self.g, acc)
+        return CoeffPoly._trusted(self.g, acc)
 
     __radd__ = __add__
 
@@ -224,7 +238,7 @@ class CoeffPoly:
         if isinstance(other, int):
             if other == 0:
                 return CoeffPoly.zero(self.g)
-            return CoeffPoly(self.g, {m: c * other for m, c in self.terms.items()})
+            return CoeffPoly._trusted(self.g, {m: c * other for m, c in self.terms.items()})
         self._require_same_ring(other)
         acc = {}
         for m1, c1 in self.terms.items():
@@ -235,7 +249,7 @@ class CoeffPoly:
                     acc[m] = s
                 elif m in acc:
                     del acc[m]
-        return CoeffPoly(self.g, acc)
+        return CoeffPoly._trusted(self.g, acc)
 
     __rmul__ = __mul__
 
@@ -383,10 +397,6 @@ class MotiveSeries:
 
     def items(self):
         return sorted(self.coeffs.items())
-
-    def is_zero(self):
-        """True when every coefficient on the validity range vanishes."""
-        return not self.coeffs
 
     def vanishes_above(self, bound):
         """First exponent > bound (within validity) with a nonzero coefficient, or None."""

@@ -1,8 +1,11 @@
 """The check registry, report plumbing, and the command-line front end."""
 
+import hashlib
 import json
 
 import pytest
+
+from curvemotives import moduli
 
 from curvemotives.checks import (
     available_checks,
@@ -57,12 +60,26 @@ def test_flagged_reports_carry_notes():
     assert r2.witness is None
 
 
-def test_fail_report_carries_witness():
-    # a window too small to hold the symmetric powers makes the counting
-    # cross-check honestly fail against the untruncated oracle
-    r = run_check("count-cross-check", 2, window=(0, 3))
+def test_fail_report_carries_witness(monkeypatch):
+    # a wrong template (an extra L^0) makes the rank-2 check genuinely fail
+    template = moduli.rank2_decomposition
+    monkeypatch.setattr(moduli, "rank2_decomposition",
+                        lambda ctx: template(ctx) + 1)
+    r = run_check("rank2", 2)
     assert r.verdict == "fail"
-    assert r.witness is not None
+    assert r.witness == {"exponent": 0, "delta": "-1"}
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_run_check_refuses_windows_below_the_ceiling(g):
+    for cid in available_checks():
+        if cid == "count-cross-check" and g != 2:
+            continue
+        need = WINDOW_CEILINGS.get(cid, lambda g: 0)(g)
+        if need > 0:
+            with pytest.raises(ValueError, match="window ceiling %d is too low "
+                               "for %s at genus %d" % (need - 1, cid, g)):
+                run_check(cid, g, window=(0, need - 1))
 
 
 def test_run_suite_order_and_applicability():
@@ -158,10 +175,12 @@ def test_cli_verify_usage_errors(capsys):
 
 
 # the smallest window ceiling at which each check is sound; below it the
-# check would report a false fail, so verify must refuse the window
+# check would report a false fail (or, for rank2 and rank3, claim a support
+# bound it never saw), so verify must refuse the window
 WINDOW_CEILINGS = {
     "zeta-rationality": lambda g: 4 * g,
-    "rank3": lambda g: 8 * g - 8,
+    "rank2": lambda g: 3 * g - 2,
+    "rank3": lambda g: 8 * g - 7,
     "j-squared-cancellation": lambda g: 4 * g - 4,
     "inversion-consistency": lambda g: 8 * g - 8,
     "behrend-dhillon": lambda g: 8 * g - 8,
@@ -235,3 +254,22 @@ def test_cli_realize_count_genus_mismatch(tmp_path, capsys):
               "--genus", "3", "--counts", str(counts)])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+# sha256 of the `verify --genus 2 3 --json` report with every wall_time set
+# to 0; an optimisation must leave the report byte-identical
+REPORT_DIGEST_GENUS_2_3 = (
+    "c8401697c418a69186e1daec1eefd129534f707cb9f367bf6886b8baeae74089")
+
+
+def test_verify_json_report_is_frozen(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["verify", "--genus", "2", "3", "--json", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text()
+    obj = json.loads(text)
+    assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == text
+    for r in obj["reports"]:
+        r["wall_time"] = 0
+    masked = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(masked.encode()).hexdigest() == REPORT_DIGEST_GENUS_2_3

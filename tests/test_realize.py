@@ -1,9 +1,12 @@
 """Numeric realizations, counting data, and the independent oracles."""
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from curvemotives.curves import jacobian_class, sym_power_class
 from curvemotives.moduli import m2_chi, m3_chi, rank2_decomposition
+from curvemotives.realize import _lambda_images, _lefschetz_image
 from curvemotives.polys import IntPoly, IntPoly2
 from curvemotives.realize import (
     HODGE,
@@ -148,7 +151,109 @@ def test_count_rejects_negative_exponents():
         realize(s, count_target(_fixture()))
 
 
+@pytest.mark.parametrize("target", [POINCARE, HODGE])
+def test_every_target_rejects_negative_exponents(target):
+    dctx = GenusContext.dimensional(2)
+    s = MotiveSeries(dctx, {-1: CoeffPoly.one(2), 0: CoeffPoly.one(2)})
+    with pytest.raises(ValueError):
+        realize(s, target)
+
+
+@pytest.mark.parametrize("base", [IntPoly.x(2), IntPoly2.monomial(1, 1)])
+def test_negative_or_fractional_powers_raise(base):
+    for n in (-1, -4, 0.5, "2"):
+        with pytest.raises(ValueError):
+            base ** n
+    assert base ** 0 == 1
+    assert base ** 3 == base * base * base
+
+
 def test_count_genus_mismatch_rejected():
     ctx = GenusContext.adic(3)
     with pytest.raises(ValueError):
         realize(jacobian_class(ctx), count_target(_fixture()))
+
+
+# -- the monomial-by-monomial realization as the reference -----------------
+
+
+def _realize_reference(series, target):
+    """Realization summed monomial by monomial, each term multiplied out
+    factor by factor and times the image of L^e."""
+    lam = _lambda_images(target, series.g)
+    ell = _lefschetz_image(target)
+    total = 0
+    for e, c in series.coeffs.items():
+        if e < 0:
+            raise ValueError("negative exponent")
+        for mono, n in c.items():
+            term = n
+            for i, ei in enumerate(mono):
+                for _ in range(ei):
+                    term = term * lam[i + 1]
+            total = total + term * ell ** e
+    return total
+
+
+def _targets(g):
+    out = [POINCARE, HODGE]
+    if g == 2:
+        out.append(count_target(genus2_fixture_counts()))
+    return out
+
+
+def _assert_same_realization(cls):
+    for target in _targets(cls.g):
+        got, want = realize(cls, target), _realize_reference(cls, target)
+        assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_realize_matches_reference_on_named_classes(g):
+    ctx = GenusContext.adic(g)
+    for cls in [m2_chi(ctx), m3_chi(ctx), jacobian_class(ctx)] + [
+            sym_power_class(ctx, k) for k in range(0, 2 * g + 1)]:
+        _assert_same_realization(cls)
+
+
+@st.composite
+def _polynomial_classes(draw):
+    g = draw(st.integers(2, 4))
+    ctx = GenusContext.adic(g, hi=12)
+    mono = st.tuples(*[st.integers(0, 2)] * g)
+    coeffs = {e: CoeffPoly(g, draw(st.dictionaries(mono, st.integers(-3, 3),
+                                                    max_size=4)))
+              for e in draw(st.lists(st.integers(0, 12), max_size=5))}
+    return MotiveSeries(ctx, coeffs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_polynomial_classes())
+def test_realize_matches_reference_on_random_classes(cls):
+    _assert_same_realization(cls)
+
+
+def _at2(p, u, v):
+    return sum(c * u ** i * v ** j for (i, j), c in p.terms.items())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(0, 4), st.integers(-2, 2), max_size=4),
+       st.dictionaries(st.integers(0, 4), st.integers(-2, 2), max_size=4),
+       st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       st.integers(-2, 2), max_size=4),
+       st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       st.integers(-2, 2), max_size=4),
+       st.integers(-2, 2), st.integers(-3, 3), st.integers(-3, 3))
+def test_intpoly_ring_results_drop_zeros(ta, tb, tc, td, n, u, v):
+    a, b, c, d = IntPoly(ta), IntPoly(tb), IntPoly2(tc), IntPoly2(td)
+    for got, want in ((a + b, a(u) + b(u)), (a - b, a(u) - b(u)),
+                      (a * b, a(u) * b(u)), (-a, -a(u)), (a * n, a(u) * n),
+                      (a + (-a), 0), (a ** 2, a(u) ** 2)):
+        assert 0 not in got.terms.values() and got(u) == want
+    for got, want in ((c + d, _at2(c, u, v) + _at2(d, u, v)),
+                      (c - d, _at2(c, u, v) - _at2(d, u, v)),
+                      (c * d, _at2(c, u, v) * _at2(d, u, v)),
+                      (-c, -_at2(c, u, v)), (n * c, n * _at2(c, u, v)),
+                      (c + (-c), 0), (c ** 2, _at2(c, u, v) ** 2)):
+        assert 0 not in got.terms.values() and _at2(got, u, v) == want

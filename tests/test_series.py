@@ -267,3 +267,80 @@ def test_str_is_readable():
     ctx = GenusContext.adic(2)
     s = one(ctx) + lambda_class(ctx, 1).shift(1)
     assert str(s) == "1 + l1*L"
+
+
+# -- trusted results of the ring operations --------------------------------
+
+
+def _at(p, point):
+    """Value of a coefficient polynomial at an integer point."""
+    total = 0
+    for mono, c in p.terms.items():
+        term = c
+        for x, m in zip(point, mono):
+            term *= x ** m
+        total += term
+    return total
+
+
+def _assert_canonical(p, g):
+    assert isinstance(p, CoeffPoly) and p.g == g
+    for mono, c in p.terms.items():
+        assert type(mono) is tuple and len(mono) == g
+        assert all(type(m) is int and m >= 0 for m in mono)
+        assert type(c) is int and c != 0
+    assert p == CoeffPoly(g, dict(p.terms))
+
+
+@st.composite
+def _coeff_cases(draw):
+    g = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 2)] * g)
+    poly = st.dictionaries(mono, st.integers(-3, 3), max_size=5).map(
+        lambda terms: CoeffPoly(g, terms))
+    point = draw(st.tuples(*[st.integers(-3, 3)] * g))
+    return g, draw(poly), draw(poly), draw(st.integers(-3, 3)), point
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_coeff_cases())
+def test_coeffpoly_ring_results_are_canonical(case):
+    g, p, q, n, point = case
+    p_at, q_at = _at(p, point), _at(q, point)
+    for result, value in (
+        (p + q, p_at + q_at), (p - q, p_at - q_at), (p * q, p_at * q_at),
+        (-p, -p_at), (p * n, p_at * n), (n * p, n * p_at),
+        (p + n, p_at + n), (n - p, n - p_at), (p + (-p), 0),
+    ):
+        _assert_canonical(result, g)
+        assert _at(result, point) == value
+
+
+@st.composite
+def _series_pairs(draw):
+    """Two series on one window around 0 with partial validity ranges."""
+    mode = draw(st.sampled_from([Mode.ADIC, Mode.DIMENSIONAL]))
+    g = draw(st.integers(2, 3))
+    lo = draw(st.integers(-8, 2))
+    hi = lo + draw(st.integers(0, 12))
+    ctx = GenusContext(g, TruncationWindow(lo, hi, mode))
+    mono = st.tuples(*[st.integers(0, 2)] * g)
+    out = []
+    for _ in range(2):
+        coeffs = {e: CoeffPoly(g, draw(st.dictionaries(mono, st.integers(-3, 3),
+                                                        max_size=3)))
+                  for e in draw(st.lists(st.integers(lo, hi), max_size=5))}
+        valid_lo = draw(st.integers(lo, hi))
+        out.append(MotiveSeries(ctx, coeffs, valid_lo, draw(st.integers(valid_lo, hi))))
+    return out[0], out[1], draw(st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_series_pairs())
+def test_series_ring_results_validate(case):
+    x, y, i = case
+    for op in (lambda: x + y, lambda: x * y, lambda: x - y, lambda: -x,
+               lambda: x * 3, lambda: x.div_unit(i)):
+        result, _ = _outcome(op)
+        if result is not None:
+            assert result.validate()
