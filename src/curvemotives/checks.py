@@ -34,6 +34,7 @@ __all__ = [
     "min_window_ceiling",
     "run_check",
     "run_suite",
+    "resolve_workers",
     "reports_to_json",
     "WORKERS_ENV_VAR",
 ]
@@ -516,9 +517,27 @@ def run_check(check_id, g, window=None) -> CheckReport:
                        win, witness, notes, details, wall)
 
 
+def resolve_workers(workers=None):
+    """The worker count: ``workers``, or $CURVE_MOTIVES_WORKERS when it is
+    None, or 1 when that is unset.  Anything but an integer >= 1 raises
+    ValueError."""
+    source = "workers"
+    if workers is None:
+        source = "$" + WORKERS_ENV_VAR
+        raw = os.environ.get(WORKERS_ENV_VAR, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError("%s must be an integer, got %r" % (source, raw)) from None
+    if workers < 1:
+        raise ValueError("%s must be >= 1, got %d" % (source, workers))
+    return workers
+
+
 def run_suite(genus_list, check_ids=None, window=None, workers=1):
     """Run the selected checks over the genus list; reports come back in a
-    deterministic (check, genus) order regardless of worker count."""
+    deterministic (check, genus) order regardless of worker count.
+    ``workers`` is resolved by ``resolve_workers``."""
     if check_ids is None:
         check_ids = available_checks()
     for cid in check_ids:
@@ -526,8 +545,7 @@ def run_suite(genus_list, check_ids=None, window=None, workers=1):
             raise ValueError("unknown check %r" % (cid,))
     tasks = [(cid, g) for cid in check_ids for g in genus_list
              if CHECKS[cid].applies(g)]
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+    workers = resolve_workers(workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_check, cid, g, window) for cid, g in tasks]

@@ -13,6 +13,7 @@ from .checks import (
     check_statement,
     min_window_ceiling,
     reports_to_json,
+    resolve_workers,
     run_suite,
     WORKERS_ENV_VAR,
 )
@@ -80,12 +81,16 @@ def _validate_verify(parser, args):
         if hi < need:
             parser.error("window ceiling %d is too low for %s at genus %d "
                          "(needs >= %d)" % (hi, cid, g, need))
-    return genus, check_ids, window
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return genus, check_ids, window, workers
 
 
 def _cmd_verify(parser, args):
-    genus, check_ids, window = _validate_verify(parser, args)
-    reports = run_suite(genus, check_ids, window=window, workers=args.workers)
+    genus, check_ids, window, workers = _validate_verify(parser, args)
+    reports = run_suite(genus, check_ids, window=window, workers=workers)
     if not reports:
         parser.error("selected checks do not apply to any requested genus")
     for r in reports:

@@ -79,13 +79,17 @@ def jacobian_class(ctx) -> MotiveSeries:
 
 def binomial_h1_series(ctx, m: int) -> MotiveSeries:
     """The binomial expansion of (1 + L^m) raised to the degree-one
-    cohomology: the sum of l_a * L^{m a} over a = 0..2g."""
-    if m < 1:
-        raise ValueError("binomial exponent must be >= 1, got %d" % m)
-    out = one(ctx)
-    for a in range(1, 2 * ctx.g + 1):
-        out = out + lambda_class(ctx, a).shift(m * a)
-    return out
+    cohomology: the sum of l_a * L^{m a} over a = 0..2g.  It is the numerator
+    of Z(C, L^m); m may be negative (the dimensional numerators)."""
+    if m == 0:
+        raise ValueError("binomial exponent must be nonzero")
+    g = ctx.g
+    raw = {}
+    for a in range(0, 2 * g + 1):
+        mono, off = _basis_row(g, a)
+        row = raw.setdefault(off + m * a, {})
+        row[mono] = row.get(mono, 0) + 1
+    return _series_from_raw(ctx, raw)
 
 
 class ZetaSeries:

@@ -20,7 +20,6 @@ from .curves import (
     dec_zeta_finite_part,
     jacobian_class,
     sym_power_class,
-    zeta_at_lefschetz,
 )
 from .polys import IntPoly
 from .series import (
@@ -29,6 +28,7 @@ from .series import (
     GenusContext,
     Mode,
     MotiveSeries,
+    TruncationWindow,
     lefschetz_power,
     one,
     zero,
@@ -384,16 +384,57 @@ def inversion_consistency(ctx, r: int, d: int = 1):
 # -- dimensional-mode pipelines --------------------------------------------
 
 
+def _deeper(ctx, margin):
+    """The dimensional context of ctx with its floor lowered to
+    min(floor, 0) - margin."""
+    w = ctx.window
+    return GenusContext(ctx.g, TruncationWindow(min(w.lo, 0) - margin, w.hi,
+                                                Mode.DIMENSIONAL))
+
+
+def _rehome(ctx, closed, floor):
+    """A closed form computed in a deeper context, as a series of ctx valid
+    from ``floor`` up.  Narrowing a validity range is always sound; a closed
+    form not known down to ``floor`` is an error, never a wider claim."""
+    if closed.valid_lo > floor:
+        raise ArithmeticError(
+            "closed form is valid only from L^%d, above the termwise floor L^%d"
+            % (closed.valid_lo, floor))
+    return MotiveSeries(ctx, closed.coeffs, valid_lo=floor)
+
+
 def behrend_dhillon_bun(ctx, r: int) -> MotiveSeries:
     """Dimensional-mode bundle-stack class:
-    L^{(r^2-1)(g-1)} prod_{i=2}^{r} Z(C, L^{-i})."""
+    L^{(r^2-1)(g-1)} prod_{i=2}^{r} Z(C, L^{-i}).
+
+    Z(C, L^{-i}) = L^{2i-1} N_i / ((L^i-1)(L^{i-1}-1)) with the finite
+    numerator N_i = sum_a l_a L^{-ia}, so the class is
+    L^{(r^2-1)g} prod_i N_i divided by the units.  It is valid from the floor
+    the product of the termwise zeta sums has, and raises where that product
+    raises."""
     _require_dimensional(ctx)
     if r not in (2, 3):
         raise ValueError("rank must be 2 or 3, got %d" % r)
-    out = zeta_at_lefschetz(ctx, -2)
+    g = ctx.g
+    # one(ctx) has the validity range and support ceiling of a termwise sum
+    # Z(C, L^{-i}) (exact on the window, top term 1 at L^0), so the product
+    # rule applied to it gives the floor of the termwise product
+    profile = one(ctx)
+    for _ in range(3, r + 1):
+        profile = profile * one(ctx)
+    floor = profile.shift((r * r - 1) * (g - 1)).valid_lo
+    # in the deeper context the numerator keeps its term at L^0 and the
+    # divisions keep its floor; the shift then raises the floor by
+    # (r^2-1)g, which is r^2-1 more than the termwise shift raises it
+    deep = _deeper(ctx, r * r - 1)
+    out = binomial_h1_series(deep, -2)
     for i in range(3, r + 1):
-        out = out * zeta_at_lefschetz(ctx, -i)
-    return out.shift((r * r - 1) * (ctx.g - 1))
+        out = out * binomial_h1_series(deep, -i)
+    for i in range(2, r + 1):
+        out = out.div_unit(i - 1).div_unit(i)
+    # divide before shifting: the numerator times L^{(r^2-1)g} would reach
+    # above the ceiling
+    return _rehome(ctx, out.shift((r * r - 1) * g), floor)
 
 
 def unstable_rank2_var_closed(ctx) -> MotiveSeries:
@@ -431,19 +472,37 @@ def m2_var(ctx) -> MotiveSeries:
     return behrend_dhillon_bun(ctx, 2) - unstable_rank2_var_sum(ctx)
 
 
+def _hn_linear_factor(ctx) -> MotiveSeries:
+    """(L^{2g} + L^{2g-1}) [J] / ((L-1)(L^3-1)): the linear
+    Harder-Narasimhan term without its Z(C, L)."""
+    g = ctx.g
+    return ((lefschetz_power(ctx, 2 * g) + lefschetz_power(ctx, 2 * g - 1))
+            .div_unit(1).div_unit(3) * jacobian_class(ctx))
+
+
 def m3_var(ctx) -> MotiveSeries:
     """Dimensional-mode rank-3 moduli class.  The Harder-Narasimhan
     corrections are the same rational functions as in adic mode, re-expanded
     against the units L^i - 1 (the paired sign flips of numerator and
-    denominator cancel)."""
+    denominator cancel).
+
+    Z(C, L) = L^{3g} N_2 / ((L-1)(L^2-1)) enters the linear term through its
+    numerator, and the term is valid from the floor it has with the termwise
+    stand-in L^{3(g-1)} Z(C, L^{-2}) for Z(C, L)."""
     _require_dimensional(ctx)
     g = ctx.g
     jac = jacobian_class(ctx)
-    zrep = zeta_at_lefschetz(ctx, -2).shift(3 * (g - 1))  # stands in for Z(C, L)
+    # the profile of the termwise stand-in (see behrend_dhillon_bun)
+    zrep = one(ctx).shift(3 * (g - 1))
+    floor = (_hn_linear_factor(ctx) * zrep).valid_lo
+    # with its floor at or below -3 no factor is empty, and the term is
+    # valid from that floor plus 6g-4, as the termwise one is in ctx
+    deep = _deeper(ctx, 3)
+    lin = ((_hn_linear_factor(deep) * binomial_h1_series(deep, -2))
+           .div_unit(1).div_unit(2).shift(3 * g))
+    lin = _rehome(ctx, lin, floor)
     # the factor order is that of the expanded products: in this mode the
     # validity floor of a product depends on it
-    lin = ((lefschetz_power(ctx, 2 * g) + lefschetz_power(ctx, 2 * g - 1))
-           .div_unit(1).div_unit(3) * jac * zrep)
     quad = (one(ctx).div_unit(1).div_unit(1).div_unit(2).div_unit(2)
             * jac * jac).shift(3 * g - 1)
     return behrend_dhillon_bun(ctx, 3) - lin + quad

@@ -43,9 +43,6 @@ class IntPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __neg__(self):
         return IntPoly._trusted({e: -c for e, c in self.terms.items()})
 
@@ -193,9 +190,6 @@ class IntPoly2:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __neg__(self):
         return IntPoly2._trusted({ij: -c for ij, c in self.terms.items()})
 
@@ -248,10 +242,6 @@ class IntPoly2:
 
     def coeff(self, i, j):
         return self.terms.get((i, j), 0)
-
-    def swap(self):
-        """Exchange the two variables."""
-        return IntPoly2({(j, i): c for (i, j), c in self.terms.items()})
 
     def diagonal(self):
         """Substitute both variables by a single one (u = v = t)."""

@@ -205,9 +205,6 @@ class CoeffPoly:
             return NotImplemented
         return self.g == other.g and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.g, frozenset(self.terms.items())))
-
     def __neg__(self):
         return CoeffPoly._trusted(self.g, {m: -c for m, c in self.terms.items()})
 
@@ -609,9 +606,6 @@ class MotiveSeries:
             return NotImplemented
         return (self.ctx == other.ctx and self.coeffs == other.coeffs
                 and self.valid_lo == other.valid_lo and self.valid_hi == other.valid_hi)
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.coeffs.items())))
 
     def to_json_obj(self):
         """Canonical JSON-ready form: sorted exponents, sorted monomials,

@@ -13,6 +13,7 @@ from curvemotives.checks import (
     reports_to_json,
     run_check,
     run_suite,
+    WORKERS_ENV_VAR,
 )
 from curvemotives.cli import main
 
@@ -205,6 +206,44 @@ def test_cli_verify_window_ceilings(g, capsys):
             assert err.value.code == 2, cid
         assert main(base + [str(need)]) == 0, cid
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_checks_never_fail_on_narrow_windows(g):
+    # every window from each check's ceiling to 8 above it, with the adic
+    # floor at 0 and at -3; the dimensional checks mirror the ceiling into
+    # a floor, so these are also the narrowest dimensional windows
+    for cid in available_checks():
+        if cid == "count-cross-check" and g != 2:
+            continue
+        need = WINDOW_CEILINGS.get(cid, lambda g: 0)(g)
+        for lo in (0, -3):
+            for hi in range(need, need + 9):
+                r = run_check(cid, g, window=(lo, hi))
+                assert r.verdict in ("pass", "flagged"), (cid, lo, hi, r.witness)
+
+
+def test_run_suite_rejects_worker_counts_below_one():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1, got %d" % workers):
+            run_suite([2], check_ids=["rank2"], workers=workers)
+
+
+def test_cli_verify_rejects_bad_worker_counts(monkeypatch, capsys):
+    base = ["verify", "--genus", "2", "--checks", "rank2"]
+    for extra, env in ((["--workers", "0"], None), (["--workers", "-3"], None),
+                       ([], "x"), ([], "0")):
+        if env is None:
+            monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(WORKERS_ENV_VAR, env)
+        with pytest.raises(SystemExit) as err:
+            main(base + extra)
+        assert err.value.code == 2, (extra, env)
+        assert "must be" in capsys.readouterr().err
+    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+    assert main(base) == 0
+    capsys.readouterr()
 
 
 def test_cli_realize_poincare(capsys):

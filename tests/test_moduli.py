@@ -32,7 +32,7 @@ from curvemotives.moduli import (
     x_identity_all,
     x_identity_delta,
 )
-from curvemotives.series import CoeffPoly, GenusContext, one
+from curvemotives.series import CoeffPoly, GenusContext, lefschetz_power, one
 
 
 def test_m2_genus2_table():
@@ -147,6 +147,53 @@ def test_frozen_digests():
     got = {name: hashlib.sha256(cls.to_json().encode()).hexdigest()
            for name, cls in built.items()}
     assert got == FROZEN_DIGESTS
+
+
+def _behrend_dhillon_bun_reference(ctx, r):
+    """The stack class as the product of the termwise zeta sums, as it was
+    built before the closed form."""
+    out = zeta_at_lefschetz(ctx, -2)
+    for i in range(3, r + 1):
+        out = out * zeta_at_lefschetz(ctx, -i)
+    return out.shift((r * r - 1) * (ctx.g - 1))
+
+
+def _m3_var_reference(ctx):
+    """m3_var with the termwise stack class and the termwise stand-in
+    L^{3(g-1)} Z(C, L^{-2}) for Z(C, L), as it was built before the closed
+    form."""
+    g = ctx.g
+    jac = jacobian_class(ctx)
+    zrep = zeta_at_lefschetz(ctx, -2).shift(3 * (g - 1))
+    lin = ((lefschetz_power(ctx, 2 * g) + lefschetz_power(ctx, 2 * g - 1))
+           .div_unit(1).div_unit(3) * jac * zrep)
+    quad = (one(ctx).div_unit(1).div_unit(1).div_unit(2).div_unit(2)
+            * jac * jac).shift(3 * g - 1)
+    return _behrend_dhillon_bun_reference(ctx, 3) - lin + quad
+
+
+def _outcome(build, ctx):
+    try:
+        return build(ctx).to_json()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_closed_form_dimensional_classes_match_termwise_reference(g):
+    # every dimensional floor from -(12g+12) to 2g at g <= 4, a stride above;
+    # the floors near 0 hold empty zeta sums and the raising windows
+    floors = set(range(-(12 * g + 12), 2 * g + 1, 1 if g <= 4 else 5))
+    floors |= {0, 1, 2 * g}
+    pairs = [
+        (lambda c: behrend_dhillon_bun(c, 2), lambda c: _behrend_dhillon_bun_reference(c, 2)),
+        (lambda c: behrend_dhillon_bun(c, 3), lambda c: _behrend_dhillon_bun_reference(c, 3)),
+        (m3_var, _m3_var_reference),
+    ]
+    for lo in sorted(floors):
+        ctx = GenusContext.dimensional(g, lo=lo)
+        for build, reference in pairs:
+            assert _outcome(build, ctx) == _outcome(reference, ctx), (g, lo)
 
 
 def test_unstable_rank2_lowest_coefficient():
