@@ -152,12 +152,13 @@ def zeta_at_lefschetz(ctx, i: int) -> MotiveSeries:
         if i > -2:
             raise ValueError("dimensional zeta evaluation needs i <= -2, got %d" % i)
         # the k-th term has support [ik, ik+k]; it clears the floor once
-        # k(i+1) < lo
+        # k(i+1) < lo.  The ceiling is a hard support bound: support above
+        # it is refused by the MotiveSeries constructor, not dropped here.
         k = 0
         while k * (i + 1) >= w.lo:
             for e, row in _sym_terms(g, k).items():
                 e += i * k
-                if e < w.lo or e > w.hi:
+                if e < w.lo:
                     continue
                 dst = acc.setdefault(e, {})
                 for mono, c in row.items():

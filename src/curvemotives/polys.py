@@ -71,9 +71,15 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             other = IntPoly.const(other)
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # a shifted, scaled copy
+            (e2, c2), = b.items()
+            return IntPoly._trusted({e1 + e2: c1 * c2 for e1, c1 in a.items()})
         acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 s = acc.get(e, 0) + c1 * c2
                 if s:
@@ -215,9 +221,16 @@ class IntPoly2:
     def __mul__(self, other):
         if isinstance(other, int):
             other = IntPoly2.const(other)
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # a shifted, scaled copy
+            ((i2, j2), c2), = b.items()
+            return IntPoly2._trusted({(i1 + i2, j1 + j2): c1 * c2
+                                      for (i1, j1), c1 in a.items()})
         acc = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
                 ij = (i1 + i2, j1 + j2)
                 s = acc.get(ij, 0) + c1 * c2
                 if s:

@@ -21,7 +21,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import comb
 
 from .polys import IntPoly, IntPoly2
@@ -149,6 +149,13 @@ def _lambda_images(target, g):
     raise ValueError("unknown realization target %r" % (target.kind,))
 
 
+@cache
+def _fixed_lambda_images(kind, g):
+    """The images of POINCARE or HODGE, which depend on g alone: built on
+    first use and shared by every later call, so nothing may change them."""
+    return tuple(_lambda_images(RealizationTarget(kind), g))
+
+
 def _lefschetz_image(target):
     if target.kind == "poincare":
         return IntPoly.x(2)
@@ -161,10 +168,15 @@ def realize(series, target):
     """Apply the target homomorphism to a polynomial class, exponent by
     exponent: the image of each coefficient is summed from the cached
     images of its monomials, then multiplied by the image of L^e once.
+    The lambda images of POINCARE and HODGE are built once per genus; those
+    of a counting target depend on its data and are built per call.
     The stored coefficients are taken at face value, so only feed this
     classes that are genuinely polynomial (moduli classes, symmetric
     powers, the Jacobian)."""
-    lam = _lambda_images(target, series.g)
+    if target.kind == "count":
+        lam = _lambda_images(target, series.g)
+    else:
+        lam = _fixed_lambda_images(target.kind, series.g)
     ell = _lefschetz_image(target)
     images = {}
     powers = [lam[0]]  # images of L^0, L^1, ..

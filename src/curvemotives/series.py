@@ -124,6 +124,11 @@ def _mono_mul(m, n):
     return tuple(map(operator.add, m, n))
 
 
+def _unit_multiple(terms, unit):
+    """n when ``terms`` is the integer n times the unit monomial, else None."""
+    return terms[unit] if len(terms) == 1 and unit in terms else None
+
+
 def _mono_str(mono):
     if not any(mono):
         return "1"
@@ -307,6 +312,9 @@ class MotiveSeries:
     DIMENSIONAL mode) is an error -- that side is a hard support bound, not a
     truncation -- while support beyond the truncated side is discarded, which
     is what truncation means.
+
+    As with CoeffPoly, only the public constructor validates; the ring
+    operations build their results through ``_trusted``.
     """
 
     __slots__ = ("ctx", "coeffs", "valid_lo", "valid_hi")
@@ -351,6 +359,18 @@ class MotiveSeries:
         self.coeffs = store
         self.valid_lo = valid_lo
         self.valid_hi = valid_hi
+
+    @classmethod
+    def _trusted(cls, ctx, coeffs, valid_lo, valid_hi):
+        """Wrap ``coeffs`` as is: nonzero CoeffPolys of genus ctx.g on keys
+        inside [valid_lo, valid_hi], a range the window mode allows.  The
+        dict is taken over, not copied."""
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.coeffs = coeffs
+        self.valid_lo = valid_lo
+        self.valid_hi = valid_hi
+        return self
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -427,19 +447,26 @@ class MotiveSeries:
         vhi = min(self.valid_hi, other.valid_hi)
         if vlo > vhi:
             raise ValueError("sum has empty validity range")
-        acc = dict(self.coeffs)
+        acc = {e: p for e, p in self.coeffs.items() if vlo <= e <= vhi}
         for e, p in other.coeffs.items():
-            if e in acc:
-                acc[e] = acc[e] + p
-            else:
+            if e < vlo or e > vhi:
+                continue
+            q = acc.get(e)
+            if q is None:
                 acc[e] = p
-        return MotiveSeries(self.ctx, acc, vlo, vhi)
+            else:
+                q = q + p
+                if q:
+                    acc[e] = q
+                else:
+                    del acc[e]
+        return MotiveSeries._trusted(self.ctx, acc, vlo, vhi)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MotiveSeries(self.ctx, {e: -p for e, p in self.coeffs.items()},
-                            self.valid_lo, self.valid_hi)
+        return MotiveSeries._trusted(self.ctx, {e: -p for e, p in self.coeffs.items()},
+                                     self.valid_lo, self.valid_hi)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -451,10 +478,8 @@ class MotiveSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return MotiveSeries(self.ctx, {}, self.valid_lo, self.valid_hi)
-            return MotiveSeries(self.ctx, {e: p * other for e, p in self.coeffs.items()},
-                                self.valid_lo, self.valid_hi)
+            coeffs = {e: p * other for e, p in self.coeffs.items()} if other else {}
+            return MotiveSeries._trusted(self.ctx, coeffs, self.valid_lo, self.valid_hi)
         if not isinstance(other, MotiveSeries):
             return NotImplemented
         self._require_same_ctx(other)
@@ -473,18 +498,41 @@ class MotiveSeries:
             vhi = w.hi
         if vlo > vhi:
             raise ValueError("product has empty validity range (window too narrow)")
-        acc = {}
+        # Each output exponent accumulates into one raw {monomial: int} row.
+        # A coefficient n*1 adds a scaled copy of the other one's terms.
+        g, unit = self.g, _unit_mono(self.g)
+        ys = [(e2, p2.terms, _unit_multiple(p2.terms, unit))
+              for e2, p2 in other.coeffs.items()]
+        rows = {}
         for e1, p1 in self.coeffs.items():
-            for e2, p2 in other.coeffs.items():
+            t1 = p1.terms
+            n1 = _unit_multiple(t1, unit)
+            for e2, t2, n2 in ys:
                 e = e1 + e2
                 if e < vlo or e > vhi:
                     continue
-                q = p1 * p2
-                if e in acc:
-                    acc[e] = acc[e] + q
-                else:
-                    acc[e] = q
-        return MotiveSeries(self.ctx, acc, vlo, vhi)
+                row = rows.get(e)
+                if row is None:
+                    row = rows[e] = {}
+                if n1 is not None or n2 is not None:
+                    src, n = (t2, n1) if n1 is not None else (t1, n2)
+                    for m, c in src.items():
+                        s = row.get(m, 0) + c * n
+                        if s:
+                            row[m] = s
+                        else:
+                            del row[m]
+                    continue
+                for m1, c1 in t1.items():
+                    for m2, c2 in t2.items():
+                        m = _mono_mul(m1, m2)
+                        s = row.get(m, 0) + c1 * c2
+                        if s:
+                            row[m] = s
+                        else:
+                            del row[m]
+        coeffs = {e: CoeffPoly._trusted(g, row) for e, row in rows.items() if row}
+        return MotiveSeries._trusted(self.ctx, coeffs, vlo, vhi)
 
     __rmul__ = __mul__
 
@@ -514,7 +562,7 @@ class MotiveSeries:
             if vlo > vhi:
                 raise ValueError("shift leaves an empty validity range")
         acc = {k + e: p for k, p in self.coeffs.items() if vlo <= k + e <= vhi}
-        return MotiveSeries(self.ctx, acc, vlo, vhi)
+        return MotiveSeries._trusted(self.ctx, acc, vlo, vhi)
 
     def div_unit(self, i):
         """Divide by 1 - L^i (adic) or L^i - 1 (dimensional) as a running sum.
@@ -556,8 +604,10 @@ class MotiveSeries:
             elif here is None:
                 acc[e] = prev
             else:
-                acc[e] = prev + here
-        return MotiveSeries(self.ctx, acc, vlo, vhi)
+                s = prev + here
+                if s:  # a missing key reads as zero in later steps
+                    acc[e] = s
+        return MotiveSeries._trusted(self.ctx, acc, vlo, vhi)
 
     def restricted(self, lo=None, hi=None):
         """Re-truncate to a narrower window.  Only the truncated side may move."""

@@ -1,5 +1,7 @@
 """Symmetric powers, the Jacobian, and the zeta-function identities."""
 
+import re
+
 import pytest
 
 from curvemotives.curves import (
@@ -14,7 +16,7 @@ from curvemotives.curves import (
     zeta_at_lefschetz,
     zeta_series,
 )
-from curvemotives.series import CoeffPoly, GenusContext, MotiveSeries
+from curvemotives.series import CoeffPoly, GenusContext, MotiveSeries, one
 
 
 def _l(g, *mono):
@@ -101,6 +103,20 @@ def test_zeta_at_lefschetz_argument_guards():
         zeta_at_lefschetz(dctx, -1)
     with pytest.raises(ValueError):
         zeta_at_lefschetz(dctx, 1)
+
+
+@pytest.mark.parametrize("i", [-2, -3])
+def test_dimensional_zeta_refuses_support_above_the_ceiling(i):
+    # the ceiling is a hard support bound: the L^0 term is refused, as by
+    # one(ctx), never dropped
+    ctx = GenusContext.dimensional(2, lo=-20, hi=-1)
+    msg = re.escape("support at L^0 above the dimensional ceiling -1")
+    with pytest.raises(ValueError, match=msg):
+        one(ctx)
+    with pytest.raises(ValueError, match=msg):
+        zeta_at_lefschetz(ctx, i)
+    z = zeta_at_lefschetz(GenusContext.dimensional(2, lo=-20, hi=0), i)
+    assert z.coefficient(0) == 1
 
 
 def test_dec_zeta_adic():

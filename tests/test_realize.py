@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from curvemotives.curves import jacobian_class, sym_power_class
 from curvemotives.moduli import m2_chi, m3_chi, rank2_decomposition
-from curvemotives.realize import _lambda_images, _lefschetz_image
+from curvemotives.realize import _fixed_lambda_images, _lambda_images, _lefschetz_image
 from curvemotives.polys import IntPoly, IntPoly2
 from curvemotives.realize import (
     HODGE,
@@ -214,6 +214,21 @@ def test_realize_matches_reference_on_named_classes(g):
     for cls in [m2_chi(ctx), m3_chi(ctx), jacobian_class(ctx)] + [
             sym_power_class(ctx, k) for k in range(0, 2 * g + 1)]:
         _assert_same_realization(cls)
+
+
+def test_shared_lambda_images_survive_repeated_calls():
+    # realize shares the POINCARE/HODGE images of lambda^0..lambda^g between
+    # calls; a product or sum that accumulated into one of them in place
+    # would change every later result
+    fresh = {(t.kind, g): [dict(p.terms) for p in _lambda_images(t, g)]
+              for t in (POINCARE, HODGE) for g in (2, 3, 4)}
+    for g in (3, 2, 4, 2, 3, 4):
+        ctx = GenusContext.adic(g)
+        for cls in [m2_chi(ctx), jacobian_class(ctx)] + [
+                sym_power_class(ctx, k) for k in range(0, 2 * g + 1)]:
+            _assert_same_realization(cls)
+    for (kind, g), terms in fresh.items():
+        assert [p.terms for p in _fixed_lambda_images(kind, g)] == terms
 
 
 @st.composite

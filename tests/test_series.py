@@ -1,7 +1,7 @@
 """Window, validity, and ring behavior of the truncated series layer."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from curvemotives.series import (
@@ -209,6 +209,9 @@ def _division_cases(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_division_cases())
+# (1 - L^2) / (1 - L^2) and (1 - L^-2) / (L^2 - 1): the running sums reach 0
+@example((MotiveSeries(GenusContext.adic(2, hi=10), {0: 1, 2: -1}), 2))
+@example((MotiveSeries(GenusContext.dimensional(2, lo=-10, hi=0), {0: 1, -2: -1}), 2))
 def test_div_unit_matches_product_with_inverse(case):
     # same coefficients and validity range (MotiveSeries ==), or same error
     got, want = _div_unit_outcomes(*case)
@@ -340,7 +343,88 @@ def _series_pairs(draw):
 def test_series_ring_results_validate(case):
     x, y, i = case
     for op in (lambda: x + y, lambda: x * y, lambda: x - y, lambda: -x,
-               lambda: x * 3, lambda: x.div_unit(i)):
+               lambda: x * 3, lambda: x * 0, lambda: x.shift(i - 3),
+               lambda: x.div_unit(i)):
         result, _ = _outcome(op)
         if result is not None:
             assert result.validate()
+
+
+# -- the product against the pairwise loop it replaced ----------------------
+
+
+def _mul_reference(x, y):
+    """x * y summed pair by pair through CoeffPoly products and sums, built
+    through the validating constructor."""
+    w = x.ctx.window
+    if x.mode is Mode.ADIC:
+        fx, fy = x._support_floor(), y._support_floor()
+        if x.coeffs and y.coeffs and fx + fy < w.lo:
+            raise ValueError("product support would start below the window floor")
+        vlo = w.lo
+        vhi = min(w.hi, x.valid_hi + fy, y.valid_hi + fx)
+    else:
+        cx, cy = x._support_ceiling(), y._support_ceiling()
+        if x.coeffs and y.coeffs and cx + cy > w.hi:
+            raise ValueError("product support would pass the window ceiling")
+        vlo = max(w.lo, x.valid_lo + cy, y.valid_lo + cx)
+        vhi = w.hi
+    if vlo > vhi:
+        raise ValueError("product has empty validity range (window too narrow)")
+    acc = {}
+    for e1, p1 in x.coeffs.items():
+        for e2, p2 in y.coeffs.items():
+            e = e1 + e2
+            if e < vlo or e > vhi:
+                continue
+            q = p1 * p2
+            if e in acc:
+                acc[e] = acc[e] + q
+            else:
+                acc[e] = q
+    return MotiveSeries(x.ctx, acc, vlo, vhi)
+
+
+@st.composite
+def _product_cases(draw):
+    """Two series on one window around 0 with partial validity ranges.  Each
+    factor has integer coefficients (n times the unit, n not only +-1),
+    polynomial ones (with or without a unit term), or a mix."""
+    mode = draw(st.sampled_from([Mode.ADIC, Mode.DIMENSIONAL]))
+    g = draw(st.integers(2, 3))
+    lo = draw(st.integers(-8, 2))
+    hi = lo + draw(st.integers(0, 12))
+    ctx = GenusContext(g, TruncationWindow(lo, hi, mode))
+    integer = st.integers(-4, 4).map(lambda n: CoeffPoly.constant(g, n))
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * g), st.integers(-3, 3),
+                           min_size=1, max_size=3).map(lambda t: CoeffPoly(g, t))
+    kinds = {"integer": integer, "polynomial": poly, "mixed": st.one_of(integer, poly)}
+    out = []
+    for _ in range(2):
+        coeff = kinds[draw(st.sampled_from(sorted(kinds)))]
+        coeffs = {e: draw(coeff) for e in draw(st.lists(st.integers(lo, hi), max_size=6))}
+        valid_lo = draw(st.integers(lo, hi))
+        out.append(MotiveSeries(ctx, coeffs, valid_lo, draw(st.integers(valid_lo, hi))))
+    return out[0], out[1]
+
+
+# (1 + L)(l1 - l1 L) = l1 - l1 L^2: the scaled copies cancel at L^1
+_CANCELLING = (
+    MotiveSeries(GenusContext.adic(2), {0: 1, 1: 1}),
+    MotiveSeries(GenusContext.adic(2), {0: CoeffPoly.single(2, (1, 0)),
+                                        1: CoeffPoly.single(2, (1, 0), -1)}),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_product_cases())
+@example(_CANCELLING)
+def test_product_matches_pairwise_reference(case):
+    # same coefficients and validity range (MotiveSeries ==), or the same
+    # ValueError message, in both factor orders
+    x, y = case
+    for a, b in ((x, y), (y, x)):
+        got = _outcome(lambda: a * b)
+        assert got == _outcome(lambda: _mul_reference(a, b))
+        if got[0] is not None:
+            assert got[0].validate()
