@@ -1,48 +1,43 @@
 """Registry and runner for the machine checks.
 
 Each check has a stable identifier, a one-line mathematical statement, a
-completion mode, a genus-applicability predicate, and a runner that returns
-a fully materialized CheckReport.  Verdicts are "pass", "fail", or
-"flagged"; flagged means the implemented mathematics holds but the check
-recorded a discrepancy note (a reading of the source material that does not
-close), and it never affects the process exit code.
+completion mode, a genus-applicability predicate, and a steps function
+``steps(g, window) -> (steps, notes)``.  A step is either a
+``(label, Comparison)`` pair or a finished detail entry (a dict with at
+least "step" and "ok"; a failing one carries its own "witness").  The one
+fold, ``_fold``, derives every report field from them:
+
+* verdict: "fail" if any step is not ok, else "flagged" if a note was
+  recorded, else "pass".  Flagged means the implemented mathematics holds
+  but the check recorded a discrepancy note (a reading of the source
+  material that does not close); it never affects the process exit code.
+* witness: the first failing step's witness.
+* window: the overlap of every step entry's "window".
+* details: the step entries, in order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import curves, moduli
-from .realize import (
-    HODGE,
-    POINCARE,
-    count_cross_check,
-    count_target,
-    genus2_fixture_counts,
-    newstead_oracle,
-    realize,
-)
+from .realize import (HODGE, POINCARE, count_cross_check, count_target,
+                      genus2_fixture_counts, newstead_oracle, realize)
 from .series import GenusContext
 
 __all__ = [
-    "CheckReport",
-    "available_checks",
-    "check_statement",
-    "min_window_ceiling",
-    "run_check",
-    "run_suite",
-    "resolve_workers",
-    "reports_to_json",
-    "WORKERS_ENV_VAR",
+    "CheckReport", "available_checks", "check_statement", "count_verdicts",
+    "min_window_ceiling", "run_check", "run_suite", "resolve_workers",
+    "reports_to_json", "WORKERS_ENV_VAR",
 ]
 
 WORKERS_ENV_VAR = "CURVE_MOTIVES_WORKERS"
 
 
-@dataclass
+@dataclasses.dataclass
 class CheckReport:
     check: str
     genus: int
@@ -56,18 +51,7 @@ class CheckReport:
     wall_time: float
 
     def to_json_obj(self):
-        return {
-            "check": self.check,
-            "genus": self.genus,
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "statement": self.statement,
-            "window": self.window,
-            "witness": self.witness,
-            "notes": self.notes,
-            "details": self.details,
-            "wall_time": self.wall_time,
-        }
+        return dataclasses.asdict(self)
 
 
 def _adic(g, window):
@@ -87,277 +71,185 @@ def _witness_obj(cmp):
     return {"exponent": cmp.witness_exponent, "delta": str(cmp.witness_delta)}
 
 
-def _fold(steps):
-    """Collapse [(label, Comparison), ...] into (ok, details, witness, window)."""
-    ok, details, witness = True, [], None
-    wlo, whi = None, None
-    for label, cmp in steps:
-        entry = {"step": label, "ok": bool(cmp), "window": [cmp.lo, cmp.hi]}
-        if not cmp:
-            ok = False
-            entry["witness"] = _witness_obj(cmp)
-            if witness is None:
-                witness = entry["witness"]
-        details.append(entry)
-        wlo = cmp.lo if wlo is None else max(wlo, cmp.lo)
-        whi = cmp.hi if whi is None else min(whi, cmp.hi)
-    window = None if wlo is None else [wlo, whi]
-    return ok, details, witness, window
+def _entry(label, ok, witness, **fields):
+    """A finished step entry; a failing one carries ``witness()``."""
+    entry = {"step": label, "ok": ok, **fields}
+    if not ok:
+        entry["witness"] = witness()
+    return entry
 
 
-def _pass_fail(ok):
-    return "pass" if ok else "fail"
+def _fold(steps, notes):
+    """(verdict, witness, window, details) of a check's steps and notes, by
+    the rules in the module docstring; the only place a verdict is made."""
+    details = []
+    for step in steps:
+        if isinstance(step, tuple):
+            label, cmp = step
+            step = _entry(label, bool(cmp), lambda: _witness_obj(cmp),
+                          window=[cmp.lo, cmp.hi])
+        details.append(step)
+    failed = [d for d in details if not d["ok"]]
+    verdict = "fail" if failed else "flagged" if notes else "pass"
+    witness = failed[0]["witness"] if failed else None
+    windows = [d["window"] for d in details if "window" in d]
+    window = ([max(lo for lo, _ in windows), min(hi for _, hi in windows)]
+              if windows else None)
+    return verdict, witness, window, details
 
 
-# -- runners ---------------------------------------------------------------
+# -- steps -----------------------------------------------------------------
+# Each returns (steps, notes).  Pipeline functions are looked up through their
+# module at call time, so a patched or traced module attribute is what runs.
 
 
-def _run_zeta_rationality(g, window):
-    ok, details, witness, win = _fold(curves.check_zeta_rationality(_adic(g, window)))
-    return _pass_fail(ok), details, [], witness, win
-
-
-def _run_functional_equation(g, window):
-    ok, details, witness, win = _fold(curves.check_functional_equation(_adic(g, window)))
-    return _pass_fail(ok), details, [], witness, win
-
-
-def _run_symmpro(g, window):
+def _symmpro(g, window):
     ctx = _adic(g, window)
-    steps = [("k=%d" % k, curves.check_symmetric_power_decomposition(ctx, k))
-             for k in range(g, 3 * g + 1)]
-    ok, details, witness, win = _fold(steps)
-    return _pass_fail(ok), details, [], witness, win
+    return [("k=%d" % k, curves.check_symmetric_power_decomposition(ctx, k))
+            for k in range(g, 3 * g + 1)], []
 
 
-def _run_deczeta_chow(g, window):
+def _deczeta_chow(g, window):
     ctx = _adic(g, window)
-    steps = [("i=%d" % i,
-              curves.zeta_at_lefschetz(ctx, i).equals(curves.dec_zeta_rhs(ctx, i)))
-             for i in (1, 2, 3)]
-    ok, details, witness, win = _fold(steps)
-    return _pass_fail(ok), details, [], witness, win
+    return [("i=%d" % i, curves.zeta_at_lefschetz(ctx, i).equals(curves.dec_zeta_rhs(ctx, i)))
+            for i in (1, 2, 3)], []
 
 
-def _run_deczeta_var(g, window):
+def _deczeta_var(g, window):
     ctx = _dim(g, window)
-    steps = []
-    for i in (2, 3):
-        lhs = curves.zeta_at_lefschetz(ctx, -i).shift((2 * i - 1) * (g - 1))
-        steps.append(("i=%d" % i, lhs.equals(curves.dec_zeta_rhs(ctx, i))))
-    ok, details, witness, win = _fold(steps)
-    return _pass_fail(ok), details, [], witness, win
+    return [("i=%d" % i, curves.zeta_at_lefschetz(ctx, -i).shift((2 * i - 1) * (g - 1))
+             .equals(curves.dec_zeta_rhs(ctx, i)))
+            for i in (2, 3)], []
 
 
-def _run_motiviczeta_closed_form(g, window):
+def _motiviczeta_closed_form(g, window):
     ctx = _adic(g, window)
     steps = []
     for i in (1, 2, 3):
         closed = curves.binomial_h1_series(ctx, i).div_unit(i).div_unit(i + 1)
         steps.append(("i=%d" % i, curves.zeta_at_lefschetz(ctx, i).equals(closed)))
-    ok, details, witness, win = _fold(steps)
-    return _pass_fail(ok), details, [], witness, win
+    return steps, []
 
 
-def _run_rank2(g, window):
+def _rank2(g, window):
     ctx = _adic(g, window)
     m2 = moduli.m2_chi(ctx)  # raises if support leaks above 3g-3
-    ok, details, witness, win = _fold(
-        [("decomposition", m2.equals(moduli.rank2_decomposition(ctx)))])
-    details.append({"step": "support-in-[0,%d]" % (3 * g - 3), "ok": True})
-    return _pass_fail(ok), details, [], witness, win
+    return [("decomposition", m2.equals(moduli.rank2_decomposition(ctx))),
+            {"step": "support-in-[0,%d]" % (3 * g - 3), "ok": True}], []
 
 
-def _run_rank3(g, window):
+def _rank3(g, window):
     ctx = _adic(g, window)
     m3 = moduli.m3_chi(ctx)  # raises if support leaks above 8g-8
-    ok, details, witness, win = _fold(
-        [("decomposition", m3.equals(moduli.rank3_decomposition(ctx)))])
-    details.append({"step": "support-in-[0,%d]" % (8 * g - 8), "ok": True})
-    return _pass_fail(ok), details, [], witness, win
+    return [("decomposition", m3.equals(moduli.rank3_decomposition(ctx))),
+            {"step": "support-in-[0,%d]" % (8 * g - 8), "ok": True}], []
 
 
-def _run_x_identity(g, window):
-    ok, details, witness = True, [], None
-    for label, delta in moduli.x_identity_all(g):
-        entry = {"step": label, "ok": not delta}
-        if delta:
-            ok = False
-            entry["witness"] = {"delta": str(delta)}
-            if witness is None:
-                witness = entry["witness"]
-        details.append(entry)
-    return _pass_fail(ok), details, [], witness, None
+def _x_identity(g, window):
+    return [_entry(label, not delta, lambda: {"delta": str(delta)})
+            for label, delta in moduli.x_identity_all(g)], []
 
 
-def _run_j_squared(g, window):
+def _j_squared(g, window):
     ctx = _adic(g, window)
-    steps = moduli.j_squared_cancellation(ctx)
-    steps.append(("j-linear-closed-form", moduli.j_linear_closed_form(ctx)))
-    ok, details, witness, win = _fold(steps)
-    return _pass_fail(ok), details, [], witness, win
+    return moduli.j_squared_cancellation(ctx) + [
+        ("j-linear-closed-form", moduli.j_linear_closed_form(ctx))], []
 
 
-def _run_inversion(g, window):
+def _inversion(g, window):
     ctx = _adic(g, window)
-    details, notes, witness = [], [], None
-    ok = True
-    wlo, whi = None, None
+    steps, notes = [], []
     for r, d in ((2, 1), (3, 1)):
         spec = moduli.InversionSpec(r, d)
         for comp in spec.compositions():
             moduli.inversion_exponent(g, spec, comp)  # raises on non-integer
-        details.append({"step": "n=%d,d=%d:integral-exponents" % (r, d), "ok": True})
+        steps.append({"step": "n=%d,d=%d:integral-exponents" % (r, d), "ok": True})
         res = moduli.inversion_consistency(ctx, r, d)
         matched = [label for label, cmp in res if cmp]
-        for label, cmp in res:
-            details.append({"step": "n=%d,d=%d:%s" % (r, d, label), "ok": True,
-                            "equal": bool(cmp), "window": [cmp.lo, cmp.hi]})
-            wlo = cmp.lo if wlo is None else max(wlo, cmp.lo)
-            whi = cmp.hi if whi is None else min(whi, cmp.hi)
+        # both readings are recorded; exactly one of them must hold
+        steps += [{"step": "n=%d,d=%d:%s" % (r, d, label), "ok": True,
+                   "equal": bool(cmp), "window": [cmp.lo, cmp.hi]} for label, cmp in res]
         if len(matched) == 1:
             notes.append("determinant-reading: rank %d degree %d inversion sum "
                          "equals the %s class" % (r, d, matched[0]))
         else:
-            ok = False
             bad = {"matched": matched}
-            for label, cmp in res:
-                if not cmp:
-                    bad[label] = _witness_obj(cmp)
-            if witness is None:
-                witness = bad
-            details.append({"step": "n=%d,d=%d:exactly-one-reading" % (r, d),
-                            "ok": False, "witness": bad})
-    window = None if wlo is None else [wlo, whi]
-    if not ok:
-        return "fail", details, notes, witness, window
-    return "flagged", details, notes, witness, window
+            bad.update((label, _witness_obj(cmp)) for label, cmp in res if not cmp)
+            steps.append({"step": "n=%d,d=%d:exactly-one-reading" % (r, d),
+                          "ok": False, "witness": bad})
+    return steps, notes
 
 
-def _run_behrend_dhillon(g, window):
-    dctx = _dim(g, window)
-    actx = _adic(g, window)
-    details, witness = [], None
-    ok = True
+def _behrend_dhillon(g, window):
+    dctx, actx = _dim(g, window), _adic(g, window)
+    steps = []
     for r in (2, 3):
-        bun = moduli.behrend_dhillon_bun(dctx, r)
         top = (r * r - 1) * (g - 1)
-        top_ok = bun.coefficient(top) == 1
-        details.append({"step": "r=%d:top-coefficient-at-%d" % (r, top), "ok": top_ok})
-        if not top_ok:
-            ok = False
-            if witness is None:
-                witness = {"exponent": top, "delta": str(bun.coefficient(top))}
+        lead = moduli.behrend_dhillon_bun(dctx, r).coefficient(top)
+        steps.append(_entry("r=%d:top-coefficient-at-%d" % (r, top), lead == 1,
+                            lambda: {"exponent": top, "delta": str(lead)}))
         mv = moduli.m2_var(dctx) if r == 2 else moduli.m3_var(dctx)
         ma = moduli.m2_chi(actx) if r == 2 else moduli.m3_chi(actx)
-        cmp = moduli.cross_mode_agreement(mv, ma, max(0, mv.valid_lo),
-                                          min(mv.valid_hi, ma.valid_hi))
-        entry = {"step": "r=%d:cross-mode-moduli-class" % r, "ok": bool(cmp),
-                 "window": [cmp.lo, cmp.hi]}
-        if not cmp:
-            ok = False
-            entry["witness"] = _witness_obj(cmp)
-            if witness is None:
-                witness = entry["witness"]
-        details.append(entry)
-    return _pass_fail(ok), details, [], witness, None
+        steps.append(("r=%d:cross-mode-moduli-class" % r, moduli.cross_mode_agreement(
+            mv, ma, max(0, mv.valid_lo), min(mv.valid_hi, ma.valid_hi))))
+    return steps, []
 
 
-def _run_var_rank2(g, window):
-    dctx = _dim(g, window)
-    steps = moduli.var_rank2_check(dctx, _adic(g, window))
-    main = [(label, cmp) for label, cmp in steps if label != "l3-prefactor-probe"]
-    ok, details, witness, win = _fold(main)
-    notes = []
-    probe = dict(steps)["l3-prefactor-probe"]
+def _var_rank2(g, window):
+    # the last step is the l3-prefactor probe: recorded and noted, never failed
+    *steps, (label, probe) = moduli.var_rank2_check(_dim(g, window), _adic(g, window))
+    entry = {"step": label, "ok": True, "equal": bool(probe)}
     if probe:
-        details.append({"step": "l3-prefactor-probe", "ok": True, "equal": True})
-        notes.append("cubic-prefactor: the variant bundle-stack reading with an "
-                     "extra L^3 prefactor unexpectedly also closes")
+        outcome = "unexpectedly also closes"
     else:
-        details.append({"step": "l3-prefactor-probe", "ok": True, "equal": False,
-                        "mismatch": _witness_obj(probe)})
-        notes.append("cubic-prefactor: the variant bundle-stack reading with an "
-                     "extra L^3 prefactor fails at exponent %d"
-                     % probe.witness_exponent)
-    if not ok:
-        return "fail", details, notes, witness, win
-    return "flagged", details, notes, witness, win
+        entry["mismatch"] = _witness_obj(probe)
+        outcome = "fails at exponent %d" % probe.witness_exponent
+    return steps + [entry], ["cubic-prefactor: the variant bundle-stack reading with an "
+                   "extra L^3 prefactor " + outcome]
 
 
-def _run_var_rank3(g, window):
-    steps = moduli.var_rank3_check(_dim(g, window), _adic(g, window))
-    ok, details, witness, win = _fold(steps)
-    return _pass_fail(ok), details, [], witness, win
-
-
-def _run_unstable_hn_sum(g, window):
+def _unstable_hn_sum(g, window):
     ctx = _dim(g, window)
     total = moduli.unstable_rank2_var_sum(ctx)  # raises if sum != closed form
-    ok, details, witness, win = _fold(
-        [("sum-equals-closed-form", total.equals(moduli.unstable_rank2_var_closed(ctx)))])
+    steps = [("sum-equals-closed-form", total.equals(moduli.unstable_rank2_var_closed(ctx)))]
     top = max(total.coeffs)
-    top_ok = top == 2 * g - 3
-    details.append({"step": "top-exponent-%d" % (2 * g - 3), "ok": top_ok,
-                    "observed": top})
-    if not top_ok:
-        ok = False
-        if witness is None:
-            witness = {"exponent": top, "delta": "unexpected top exponent"}
-    return _pass_fail(ok), details, [], witness, win
+    steps.append(_entry("top-exponent-%d" % (2 * g - 3), top == 2 * g - 3,
+                        lambda: {"exponent": top, "delta": "unexpected top exponent"},
+                        observed=top))
+    return steps, []
 
 
-def _run_realize_poincare(g, window):
-    ctx = _adic(g, window)
-    got = realize(moduli.rank2_decomposition(ctx), POINCARE)
+def _realize_poincare(g, window):
+    got = realize(moduli.rank2_decomposition(_adic(g, window)), POINCARE)
     want = newstead_oracle(g)
-    ok = got == want
-    details = [{"step": "rank2-poincare-vs-oracle", "ok": ok}]
-    witness = None
-    if not ok:
-        witness = {"delta": str(got - want)}
-        details[0]["witness"] = witness
-    return _pass_fail(ok), details, [], witness, None
+    return [_entry("rank2-poincare-vs-oracle", got == want,
+                   lambda: {"delta": str(got - want)})], []
 
 
-def _run_realize_hodge(g, window):
+def _realize_hodge(g, window):
     ctx = _adic(g, window)
     named = [("m2", moduli.m2_chi(ctx)), ("m3", moduli.m3_chi(ctx)),
              ("jac", curves.jacobian_class(ctx))]
-    named += [("c%d" % k, curves.sym_power_class(ctx, k))
-              for k in range(0, 2 * g + 1)]
-    ok, details, witness = True, [], None
+    named += [("c%d" % k, curves.sym_power_class(ctx, k)) for k in range(0, 2 * g + 1)]
+    steps = []
     for name, cls in named:
-        agree = realize(cls, HODGE).diagonal() == realize(cls, POINCARE)
-        entry = {"step": "%s:hodge-diagonal-vs-poincare" % name, "ok": agree}
-        if not agree:
-            ok = False
-            if witness is None:
-                witness = {"class": name,
-                           "delta": str(realize(cls, HODGE).diagonal()
-                                        - realize(cls, POINCARE))}
-            entry["witness"] = witness
-        details.append(entry)
-    return _pass_fail(ok), details, [], witness, None
+        diag, poinc = realize(cls, HODGE).diagonal(), realize(cls, POINCARE)
+        steps.append(_entry("%s:hodge-diagonal-vs-poincare" % name, diag == poinc,
+                            lambda: {"class": name, "delta": str(diag - poinc)}))
+    return steps, []
 
 
-def _run_count_cross_check(g, window):
+def _count_cross_check(g, window):
     ctx = _adic(g, window)
     data = genus2_fixture_counts()
-    details = [{"step": "fixture-counts", "ok": True,
-                "q": data.q, "counts": data.counts}]
-    ok, witness = True, None
-    for k, got, want in count_cross_check(ctx, data, k_max=6):
-        agree = got == want
-        entry = {"step": "k=%d" % k, "ok": agree, "realized": got, "expected": want}
-        if not agree:
-            ok = False
-            if witness is None:
-                witness = {"k": k, "realized": got, "expected": want}
-        details.append(entry)
-    jac_count = realize(curves.jacobian_class(ctx), count_target(data))
-    details.append({"step": "jacobian-count", "ok": True, "realized": jac_count})
-    return _pass_fail(ok), details, [], witness, None
+    steps = [{"step": "fixture-counts", "ok": True, "q": data.q, "counts": data.counts}]
+    steps += [_entry("k=%d" % k, got == want,
+                     lambda: {"k": k, "realized": got, "expected": want},
+                     realized=got, expected=want)
+              for k, got, want in count_cross_check(ctx, data, k_max=6)]
+    steps.append({"step": "jacobian-count", "ok": True,
+                  "realized": realize(curves.jacobian_class(ctx), count_target(data))})
+    return steps, []
 
 
 # -- registry --------------------------------------------------------------
@@ -368,14 +260,14 @@ def _rank3_ceiling(g):
     return 8 * g - 8
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CheckSpec:
     """``min_ceiling(g)`` is the smallest adic window ceiling at which the
     check is sound at genus g; below it the verdict is meaningless."""
 
     statement: str
     mode: str
-    runner: object
+    steps: object
     min_genus: int = 2
     only_genus: int | None = None
     min_ceiling: object = lambda g: 0
@@ -390,89 +282,91 @@ CHECKS = {
     "zeta-rationality": CheckSpec(
         "The zeta series times (1-t)(1-Lt) is a polynomial of t-degree 2g "
         "whose t^k coefficient is the k-th exterior power class.",
-        "adic", _run_zeta_rationality, min_ceiling=lambda g: 4 * g),
+        "adic", lambda g, w: (curves.check_zeta_rationality(_adic(g, w)), []),
+        min_ceiling=lambda g: 4 * g),
     "functional-equation": CheckSpec(
         "Numerator symmetry: the degree-a exterior power times L^g equals "
         "the degree-(2g-a) exterior power times L^a, for a = 0..2g.",
-        "adic", _run_functional_equation),
+        "adic", lambda g, w: (curves.check_functional_equation(_adic(g, w)), [])),
     "symmpro": CheckSpec(
         "For g <= k <= 3g the k-th symmetric power decomposes as "
         "[J](1 + L + .. + L^{k-g}) plus, when k <= 2g-2, [C_{2g-2-k}] L^{k-g+1}.",
-        "adic", _run_symmpro),
+        "adic", _symmpro),
     "deczeta-chow": CheckSpec(
         "Adic evaluation of the zeta function at t = L^i (i = 1,2,3) equals "
         "two finite symmetric-power blocks plus the Jacobian tail "
         "[J] L^{ig} / ((1-L^i)(1-L^{i+1})).",
-        "adic", _run_deczeta_chow),
+        "adic", _deczeta_chow),
     "deczeta-var": CheckSpec(
         "Dimensional evaluation: L^{(2i-1)(g-1)} Z(C, L^{-i}) (i = 2,3) "
         "equals the finite blocks plus the tail "
         "[J] L^{(i-1)g} / ((L^{i-1}-1)(L^i-1)).",
-        "dimensional", _run_deczeta_var),
+        "dimensional", _deczeta_var),
     "motiviczeta-closed-form": CheckSpec(
         "Adic evaluation of the zeta function at t = L^i (i = 1,2,3) equals "
         "the closed form (1+L^i)^{h1} / ((1-L^i)(1-L^{i+1})).",
-        "adic", _run_motiviczeta_closed_form),
+        "adic", _motiviczeta_closed_form),
     "rank2": CheckSpec(
         "The rank-2 fixed-determinant moduli class (bundle stack minus "
         "unstable stratum) is supported in [0, 3g-3] and equals "
         "sum_{k<=g-2} [C_k](L^k + L^{3g-3-2k}) + [C_{g-1}] L^{g-1}.",
-        "adic", _run_rank2, min_ceiling=lambda g: 3 * g - 2),
+        "adic", _rank2, min_ceiling=lambda g: 3 * g - 2),
     "rank3": CheckSpec(
         "The rank-3 fixed-determinant moduli class is supported in [0, 8g-8] "
         "and equals the two-index symmetric-power template.",
-        "adic", _run_rank3, min_ceiling=lambda g: 8 * g - 7),
+        "adic", _rank3, min_ceiling=lambda g: 8 * g - 7),
     "rank3-x-identity": CheckSpec(
         "The four-term exponent identity behind the collapse of the "
         "[J]-linear part holds in Z[x] for every 0 <= k <= g-2.",
-        "integer", _run_x_identity),
+        "integer", _x_identity),
     "j-squared-cancellation": CheckSpec(
         "The three series multiplying [J]^2 in the rank-3 subtraction cancel "
         "exactly, each matching its displayed closed form, and the "
         "[J]-linear part collapses to its closed form.",
-        "adic", _run_j_squared, min_ceiling=lambda g: 4 * g - 4),
+        "adic", _j_squared, min_ceiling=lambda g: 4 * g - 4),
     "inversion-consistency": CheckSpec(
         "The composition-indexed inversion sum for (rank, degree) = (2,1) "
         "and (3,1) has integral exponents and equals exactly one of the "
         "fixed-determinant moduli class or the Jacobian times it.",
-        "adic", _run_inversion, min_ceiling=_rank3_ceiling),
+        "adic", _inversion, min_ceiling=_rank3_ceiling),
     "behrend-dhillon": CheckSpec(
         "The dimensional bundle-stack class L^{(r^2-1)(g-1)} "
         "prod_{i=2..r} Z(C, L^{-i}) has top coefficient 1 at its dimension, "
         "and the moduli classes built from it agree with the adic ones "
         "coefficient by coefficient.",
-        "dimensional", _run_behrend_dhillon, min_ceiling=_rank3_ceiling),
+        "dimensional", _behrend_dhillon, min_ceiling=_rank3_ceiling),
     "var-rank2": CheckSpec(
         "Dimensional rank-2 pipeline: stack minus stratumwise unstable sum "
         "equals the decomposition template and matches the adic class; the "
         "variant stack reading with an extra L^3 prefactor does not close "
         "and is flagged.",
-        "dimensional", _run_var_rank2),
+        "dimensional", _var_rank2),
     "var-rank3": CheckSpec(
         "Dimensional rank-3 pipeline: stack minus Harder-Narasimhan "
         "corrections equals the decomposition template and matches the adic "
         "class.",
-        "dimensional", _run_var_rank3, min_ceiling=lambda g: 1),
+        "dimensional", lambda g, w: (moduli.var_rank3_check(_dim(g, w), _adic(g, w)), []),
+        min_ceiling=lambda g: 1),
     "unstable-rank2-hn-sum": CheckSpec(
         "The stratumwise unstable rank-2 sum (degree-d stratum "
         "[J] L^{g-2d}/(L-1)) equals its closed form [J] L^g/((L-1)(L^2-1)); "
         "the top surviving exponent is 2g-3.",
-        "dimensional", _run_unstable_hn_sum, min_ceiling=lambda g: 1),
+        "dimensional", _unstable_hn_sum, min_ceiling=lambda g: 1),
     "realize-poincare-rank2": CheckSpec(
         "The Poincare realization of the rank-2 decomposition equals the "
         "independent closed form "
         "((1+t^3)^{2g} - t^{2g}(1+t)^{2g}) / ((1-t^2)(1-t^4)).",
-        "adic", _run_realize_poincare, min_ceiling=lambda g: 3 * g - 3),
+        "adic", _realize_poincare, min_ceiling=lambda g: 3 * g - 3),
     "realize-hodge-consistency": CheckSpec(
         "The Hodge realization at u = v = t reproduces the Poincare "
         "realization on the rank-2 and rank-3 moduli classes, the Jacobian, "
         "and the symmetric powers up to 2g.",
-        "adic", _run_realize_hodge, min_ceiling=_rank3_ceiling),
+        "adic", _realize_hodge, min_ceiling=_rank3_ceiling),
     "count-cross-check": CheckSpec(
         "For the genus-2 curve y^2 = x^5 - x over F_3 (points counted by "
         "brute force at run time), the counting realization of each "
         "symmetric power up to k = 6 equals the divisor-count recurrence.",
-        "adic", _run_count_cross_check, only_genus=2, min_ceiling=lambda g: 6),
+        "adic", _count_cross_check, only_genus=2, min_ceiling=lambda g: 6),
 }
 
 
@@ -495,7 +389,8 @@ def min_window_ceiling(check_ids, genus_list):
 def run_check(check_id, g, window=None) -> CheckReport:
     """Run one check at one genus and materialize its report.  A window
     below the check's ``min_ceiling`` is refused with ValueError; unexpected
-    arithmetic errors inside a runner become a failing report, not a crash."""
+    arithmetic errors inside a steps function become a failing report, not a
+    crash."""
     if check_id not in CHECKS:
         raise ValueError("unknown check %r" % (check_id,))
     spec = CHECKS[check_id]
@@ -506,12 +401,11 @@ def run_check(check_id, g, window=None) -> CheckReport:
                          "(needs >= %d)" % (window[1], check_id, g, spec.min_ceiling(g)))
     start = time.perf_counter()
     try:
-        verdict, details, notes, witness, win = spec.runner(g, window)
+        steps, notes = spec.steps(g, window)
     except (ValueError, ArithmeticError) as exc:
-        verdict = "fail"
-        witness = {"error": str(exc)}
-        details = [{"step": "error", "ok": False, "message": str(exc)}]
-        notes, win = [], None
+        steps, notes = [{"step": "error", "ok": False, "message": str(exc),
+                         "witness": {"error": str(exc)}}], []
+    verdict, witness, win, details = _fold(steps, notes)
     wall = time.perf_counter() - start
     return CheckReport(check_id, g, spec.mode, verdict, spec.statement,
                        win, witness, notes, details, wall)
@@ -556,10 +450,13 @@ def run_suite(genus_list, check_ids=None, window=None, workers=1):
     return reports
 
 
+def count_verdicts(reports):
+    """How many reports carry each verdict, as {verdict: count}."""
+    verdicts = [r.verdict for r in reports]
+    return {v: verdicts.count(v) for v in ("pass", "fail", "flagged")}
+
+
 def reports_to_json(reports, genus_list, check_ids=None, window=None):
-    summary = {"pass": 0, "fail": 0, "flagged": 0}
-    for r in reports:
-        summary[r.verdict] += 1
     return {
         "schema": 1,
         "config": {
@@ -567,6 +464,6 @@ def reports_to_json(reports, genus_list, check_ids=None, window=None):
             "checks": list(check_ids) if check_ids is not None else available_checks(),
             "window": list(window) if window is not None else None,
         },
-        "summary": summary,
+        "summary": count_verdicts(reports),
         "reports": [r.to_json_obj() for r in reports],
     }

@@ -11,6 +11,7 @@ from . import __version__
 from .checks import (
     available_checks,
     check_statement,
+    count_verdicts,
     min_window_ceiling,
     reports_to_json,
     resolve_workers,
@@ -101,9 +102,7 @@ def _cmd_verify(parser, args):
             print("        note: %s" % note)
         if r.verdict == "fail" and r.witness is not None:
             print("        witness: %s" % json.dumps(r.witness, sort_keys=True))
-    summary = {"pass": 0, "fail": 0, "flagged": 0}
-    for r in reports:
-        summary[r.verdict] += 1
+    summary = count_verdicts(reports)
     print("%d passed, %d flagged, %d failed"
           % (summary["pass"], summary["flagged"], summary["fail"]))
     if args.json:

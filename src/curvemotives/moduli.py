@@ -513,10 +513,11 @@ def cross_mode_agreement(x: MotiveSeries, y: MotiveSeries, lo: int, hi: int) -> 
     series may come from different modes (both must be valid there)."""
     tx = x.coefficient_table(lo, hi)
     ty = y.coefficient_table(lo, hi)
+    zx, zy = CoeffPoly.zero(x.g), CoeffPoly.zero(y.g)
     for e in sorted(set(tx) | set(ty)):
-        delta = tx.get(e, CoeffPoly.zero(x.g)) - ty.get(e, CoeffPoly.zero(y.g))
-        if delta:
-            return Comparison(False, lo, hi, e, delta)
+        mine, theirs = tx.get(e, zx), ty.get(e, zy)
+        if mine != theirs:
+            return Comparison(False, lo, hi, e, mine - theirs)
     return Comparison(True, lo, hi)
 
 

@@ -641,14 +641,14 @@ class MotiveSeries:
         hi = min(self.valid_hi, other.valid_hi)
         if lo > hi:
             raise ValueError("no shared validity range to compare on")
+        zero = CoeffPoly.zero(self.g)
         for e in sorted(set(self.coeffs) | set(other.coeffs)):
             if e < lo or e > hi:
                 continue
-            mine = self.coeffs.get(e, CoeffPoly.zero(self.g))
-            theirs = other.coeffs.get(e, CoeffPoly.zero(self.g))
-            delta = mine - theirs
-            if delta:
-                return Comparison(False, lo, hi, e, delta)
+            mine = self.coeffs.get(e, zero)
+            theirs = other.coeffs.get(e, zero)
+            if mine != theirs:
+                return Comparison(False, lo, hi, e, mine - theirs)
         return Comparison(True, lo, hi)
 
     def __eq__(self, other):

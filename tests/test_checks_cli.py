@@ -1,11 +1,14 @@
 """The check registry, report plumbing, and the command-line front end."""
 
 import hashlib
+import importlib
 import json
 
 import pytest
 
-from curvemotives import moduli
+from curvemotives import curves, moduli
+from curvemotives.polys import IntPoly2
+from curvemotives.series import lefschetz_power
 
 from curvemotives.checks import (
     available_checks,
@@ -69,6 +72,97 @@ def test_fail_report_carries_witness(monkeypatch):
     r = run_check("rank2", 2)
     assert r.verdict == "fail"
     assert r.witness == {"exponent": 0, "delta": "-1"}
+
+
+def _plus(n):
+    return lambda f: lambda *args: f(*args) + n
+
+
+# one broken input per check at genus 2, and the report witness it gives:
+# (owner, attribute, wrapper of the original, witness).  The witnesses were
+# recorded before the hand-written runners were folded into steps.
+FORCED_FAILURES = {
+    "zeta-rationality": (curves, "lambda_class", _plus(1),
+                         {"exponent": 0, "delta": "-1"}),
+    "functional-equation": (curves, "lambda_class",
+                            lambda f: lambda ctx, a: f(ctx, a) + (a == 0),
+                            {"exponent": 2, "delta": "1"}),
+    "symmpro": (curves, "jacobian_class", _plus(1), {"exponent": 0, "delta": "-1"}),
+    "deczeta-chow": (curves, "dec_zeta_rhs", _plus(1), {"exponent": 0, "delta": "-1"}),
+    "deczeta-var": (curves, "dec_zeta_rhs", _plus(1), {"exponent": 0, "delta": "-1"}),
+    "motiviczeta-closed-form": (curves, "binomial_h1_series", _plus(1),
+                                {"exponent": 0, "delta": "-1"}),
+    "rank2": (moduli, "rank2_decomposition", _plus(1), {"exponent": 0, "delta": "-1"}),
+    "rank3": (moduli, "rank3_decomposition", _plus(1), {"exponent": 0, "delta": "-1"}),
+    "rank3-x-identity": (moduli, "x_identity_delta",
+                         lambda f: lambda g, k: f(g, k) + k + 1, {"delta": "1"}),
+    "j-squared-cancellation": (moduli, "dec_zeta_finite_part", _plus(1),
+                               {"exponent": 2, "delta": "1"}),
+    "inversion-consistency": (moduli, "inversion_formula", _plus(1), {
+        "matched": [],
+        "fixed-determinant": {"exponent": 0, "delta": "1 + l1 + l2"},
+        "jacobian-times-fixed-determinant": {"exponent": 0, "delta": "1"}}),
+    "behrend-dhillon": (moduli, "behrend_dhillon_bun",
+                        lambda f: lambda ctx, r: f(ctx, r) * 2,
+                        {"exponent": 3, "delta": "2"}),
+    "var-rank2": (moduli, "m2_chi", _plus(1), {"exponent": 0, "delta": "-1"}),
+    "var-rank3": (moduli, "m3_chi", _plus(1), {"exponent": 0, "delta": "-1"}),
+    "unstable-rank2-hn-sum": (
+        moduli, "unstable_rank2_var_sum",
+        lambda f: lambda ctx: f(ctx) + lefschetz_power(ctx, 2 * ctx.g - 2),
+        {"exponent": 2, "delta": "1"}),
+    "realize-poincare-rank2": (moduli, "rank2_decomposition", _plus(1), {"delta": "1"}),
+    "realize-hodge-consistency": (IntPoly2, "diagonal", _plus(1),
+                                  {"class": "m2", "delta": "1"}),
+    # `curvemotives.realize` the attribute is the function, not the module
+    "count-cross-check": (importlib.import_module("curvemotives.realize"),
+                          "sym_count_oracle",
+                          lambda f: lambda data, m: f(data, m) + (m >= 5),
+                          {"k": 5, "realized": 320, "expected": 321}),
+}
+
+
+@pytest.mark.parametrize("cid", available_checks())
+def test_every_check_fails_on_a_broken_input(cid, monkeypatch):
+    # a check added to the registry without a case here fails this test
+    owner, name, wrap, witness = FORCED_FAILURES[cid]
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    r = run_check(cid, 2)
+    assert r.verdict == "fail"
+    assert r.witness == witness
+    failing = [d for d in r.details if not d["ok"]]
+    assert failing[0]["witness"] == witness
+    assert all("witness" in d for d in failing)
+
+
+def test_failing_entries_carry_their_own_witness(monkeypatch):
+    # every Hodge diagonal is off by one, so every class fails on its own
+    monkeypatch.setattr(IntPoly2, "diagonal", _plus(1)(IntPoly2.diagonal))
+    r = run_check("realize-hodge-consistency", 2)
+    failing = [d for d in r.details if not d["ok"]]
+    assert len(failing) >= 2
+    for d in failing:
+        assert d["witness"] == {"class": d["step"].split(":")[0], "delta": "1"}
+    # the same rule for the entries that are not comparisons
+    monkeypatch.setattr(moduli, "behrend_dhillon_bun",
+                        FORCED_FAILURES["behrend-dhillon"][2](moduli.behrend_dhillon_bun))
+    r = run_check("behrend-dhillon", 2)
+    assert [d["witness"] for d in r.details if "top-coefficient" in d["step"]] == [
+        {"exponent": 3, "delta": "2"}, {"exponent": 8, "delta": "2"}]
+
+
+@pytest.mark.parametrize("exc", [ValueError, ArithmeticError])
+def test_error_inside_steps_is_a_failing_report(exc, monkeypatch):
+    def broken(ctx):
+        raise exc("forced")
+
+    monkeypatch.setattr(moduli, "rank2_decomposition", broken)
+    r = run_check("rank2", 2)
+    assert r.verdict == "fail"
+    assert r.witness == {"error": "forced"}
+    assert r.window is None
+    assert [(d["step"], d["ok"], d["message"]) for d in r.details] == [
+        ("error", False, "forced")]
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -297,29 +391,53 @@ def test_cli_realize_count_genus_mismatch(tmp_path, capsys):
 
 # sha256 of the `verify --genus ... --json` report with every wall_time set
 # to 0; an optimisation must leave the report byte-identical.  At genus 4 and
-# 5 most of the work is products with integer-coefficient factors.
+# 5 most of the work is products with integer-coefficient factors.  The
+# first two digests also null behrend-dhillon's window: they were recorded
+# while that check reported none, and they show nothing else moved.
 REPORT_DIGEST_GENUS_2_3 = (
     "c8401697c418a69186e1daec1eefd129534f707cb9f367bf6886b8baeae74089")
 REPORT_DIGEST_GENUS_4_5 = (
     "1d867510bff44bc8c5ca7fc7fe709e359d2af903a1acf3f55c38ab24145303be")
+REPORT_DIGEST_GENUS_2_3_WINDOWED = (
+    "daa7ce924fd7e5abf75f263030f1b707bcf09b40a42f549ec849ef30cfc66ce4")
+REPORT_DIGEST_GENUS_4_5_WINDOWED = (
+    "0825d87c9311f8dd04594fbee46207b45f3041156428a766e861ac69a8ac0a24")
 
 
-def _masked_report_digest(tmp_path, capsys, genus):
+def _report_digests(tmp_path, capsys, genus):
+    """(digest, digest with behrend-dhillon's window nulled, behrend-dhillon's
+    window by genus) of the report, every wall_time zeroed."""
     path = tmp_path / "report.json"
     assert main(["verify", "--genus", *genus, "--json", str(path)]) == 0
     capsys.readouterr()
     text = path.read_text()
     obj = json.loads(text)
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == text
+
+    def digest():
+        masked = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return hashlib.sha256(masked.encode()).hexdigest()
+
     for r in obj["reports"]:
         r["wall_time"] = 0
-    masked = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    return hashlib.sha256(masked.encode()).hexdigest()
+    full = digest()
+    bd = [r for r in obj["reports"] if r["check"] == "behrend-dhillon"]
+    windows = {r["genus"]: r["window"] for r in bd}
+    for r in bd:
+        r["window"] = None
+    return full, digest(), windows
 
 
 def test_verify_json_report_is_frozen(tmp_path, capsys):
-    assert _masked_report_digest(tmp_path, capsys, ["2", "3"]) == REPORT_DIGEST_GENUS_2_3
+    full, masked, windows = _report_digests(tmp_path, capsys, ["2", "3"])
+    assert masked == REPORT_DIGEST_GENUS_2_3
+    assert full == REPORT_DIGEST_GENUS_2_3_WINDOWED
+    # the cross-mode steps compare [0, 10g+1]
+    assert windows == {2: [0, 11], 3: [0, 21]}
 
 
 def test_verify_json_report_is_frozen_at_genus_4_5(tmp_path, capsys):
-    assert _masked_report_digest(tmp_path, capsys, ["4", "5"]) == REPORT_DIGEST_GENUS_4_5
+    full, masked, windows = _report_digests(tmp_path, capsys, ["4", "5"])
+    assert masked == REPORT_DIGEST_GENUS_4_5
+    assert full == REPORT_DIGEST_GENUS_4_5_WINDOWED
+    assert windows == {4: [0, 31], 5: [0, 41]}

@@ -279,6 +279,21 @@ def test_cross_mode_disagreement_is_witnessed():
     assert not cmp and cmp.witness_exponent == 0
 
 
+def test_comparisons_subtract_only_for_the_witness(monkeypatch):
+    dctx, actx = GenusContext.dimensional(2), GenusContext.adic(2)
+    mv, ma = m2_var(dctx), m2_chi(actx)
+    shifted = ma.shift(1)
+    calls = []
+    sub = CoeffPoly.__sub__
+    monkeypatch.setattr(CoeffPoly, "__sub__", lambda p, q: calls.append(1) or sub(p, q))
+    assert cross_mode_agreement(mv, ma, 0, 5) and ma.equals(ma.shift(0))
+    assert calls == []
+    cmp = cross_mode_agreement(mv, shifted, 0, 5)
+    assert calls == [1] and cmp.witness_delta == CoeffPoly.constant(2, 1)
+    cmp = ma.equals(shifted)
+    assert calls == [1, 1] and cmp.witness_delta == CoeffPoly.constant(2, 1)
+
+
 def test_var_rank2_check_shape():
     steps = dict(var_rank2_check(GenusContext.dimensional(2)))
     assert bool(steps["decomposition"])
