@@ -210,7 +210,7 @@ def _var_rank2(g, window):
 
 def _unstable_hn_sum(g, window):
     ctx = _dim(g, window)
-    total = moduli.unstable_rank2_var_sum(ctx)  # raises if sum != closed form
+    total = moduli.unstable_rank2_var_sum(ctx)
     steps = [("sum-equals-closed-form", total.equals(moduli.unstable_rank2_var_closed(ctx)))]
     top = max(total.coeffs)
     steps.append(_entry("top-exponent-%d" % (2 * g - 3), top == 2 * g - 3,

@@ -8,6 +8,7 @@ which are exact on the whole window by construction.
 
 from __future__ import annotations
 
+from .polys import add_into
 from .series import (
     CoeffPoly,
     Mode,
@@ -133,37 +134,25 @@ def zeta_at_lefschetz(ctx, i: int) -> MotiveSeries:
     many contributions at a single exponent and is rejected).
     """
     w = ctx.window
-    g = ctx.g
-    acc = {}
     if ctx.mode is Mode.ADIC:
         if i < 1:
             raise ValueError("adic zeta evaluation needs i >= 1, got %d" % i)
-        k = 0
-        while i * k <= w.hi:
-            for e, row in _sym_terms(g, k).items():
-                e += i * k
-                if e > w.hi:
-                    continue
-                dst = acc.setdefault(e, {})
-                for mono, c in row.items():
-                    dst[mono] = dst.get(mono, 0) + c
-            k += 1
+        # the k-th term has support [ik, ik+k]; what passes the ceiling is
+        # truncated away
+        more, keep = (lambda k: i * k <= w.hi), (lambda e: e <= w.hi)
     else:
         if i > -2:
             raise ValueError("dimensional zeta evaluation needs i <= -2, got %d" % i)
         # the k-th term has support [ik, ik+k]; it clears the floor once
         # k(i+1) < lo.  The ceiling is a hard support bound: support above
         # it is refused by the MotiveSeries constructor, not dropped here.
-        k = 0
-        while k * (i + 1) >= w.lo:
-            for e, row in _sym_terms(g, k).items():
-                e += i * k
-                if e < w.lo:
-                    continue
-                dst = acc.setdefault(e, {})
-                for mono, c in row.items():
-                    dst[mono] = dst.get(mono, 0) + c
-            k += 1
+        more, keep = (lambda k: k * (i + 1) >= w.lo), (lambda e: e >= w.lo)
+    acc, k = {}, 0
+    while more(k):
+        for e, row in _sym_terms(ctx.g, k).items():
+            if keep(e + i * k):
+                add_into(acc.setdefault(e + i * k, {}), row)
+        k += 1
     return _series_from_raw(ctx, acc)
 
 

@@ -447,8 +447,8 @@ def unstable_rank2_var_sum(ctx) -> MotiveSeries:
     """Rank-2 unstable class summed stratum by stratum: the destabilizing
     line subbundle of degree d >= 1 contributes [J] L^{g-2d} / (L-1).
 
-    Terms are added until they fall below the window; the result is checked
-    against the closed form before being returned."""
+    Terms are added until they fall below the window.  The check
+    unstable-rank2-hn-sum compares the result with the closed form."""
     _require_dimensional(ctx)
     g = ctx.g
     w = ctx.window
@@ -459,11 +459,6 @@ def unstable_rank2_var_sum(ctx) -> MotiveSeries:
     while 2 * g - 2 * d - 1 >= w.lo:
         out = out + jb.shift(g - 2 * d)
         d += 1
-    agree = out.equals(unstable_rank2_var_closed(ctx))
-    if not agree:
-        raise ArithmeticError(
-            "stratumwise unstable sum disagrees with its closed form at L^%d"
-            % agree.witness_exponent)
     return out
 
 

@@ -1,13 +1,73 @@
-"""Small exact polynomial helpers over Z, used by the numeric oracles and
-the x-variable identity check.  Sparse dicts, integer coefficients only.
+"""The sparse-term kernel of the package and two integer polynomial types.
 
-The constructors drop zero coefficients from what they are given; the ring
-operations drop them as they go and build their results through
-``_trusted``."""
+A term dict maps a key to a nonzero int.  ``add_into`` and ``mul_into`` are
+the only code that sums or multiplies term dicts: they accumulate into their
+first argument in place and drop zero sums.  ``combine`` adds two keys:
+``operator.add`` for ``IntPoly``, a pair sum for ``IntPoly2``, the monomial
+product for ``CoeffPoly``.
+
+``IntPoly`` and ``IntPoly2`` serve the numeric realizations and oracles.
+The constructors drop zero coefficients; the ring operations call the
+kernel, wrap its result through ``_trusted``, and refuse an operand of the
+other polynomial type with ``TypeError``."""
 
 from __future__ import annotations
 
+import operator
+
 __all__ = ["IntPoly", "IntPoly2"]
+
+
+def add_into(acc, terms, n=1):
+    """Add ``n * terms`` into ``acc`` in place and return ``acc``; n != 0."""
+    get = acc.get
+    for k, c in terms.items():
+        s = get(k, 0) + (c if n == 1 else c * n)  # c * 1 copies a big int
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+    return acc
+
+
+def mul_into(acc, a, b, combine):
+    """Add the product of the term dicts ``a`` and ``b`` into ``acc`` in
+    place and return ``acc``; ``combine`` adds two keys."""
+    get = acc.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = combine(k1, k2)
+            s = get(k, 0) + c1 * c2
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc
+
+
+def _add_pairs(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def power(one, base, n):
+    """``base ** n`` by repeated squaring, starting from ``one``."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("only non-negative integer powers are defined")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def _operand(cls, other):
+    """The terms of a ring operand: an int or a ``cls``; None otherwise."""
+    if isinstance(other, int):
+        other = cls.const(other)
+    return other.terms if isinstance(other, cls) else None
 
 
 class IntPoly:
@@ -47,60 +107,32 @@ class IntPoly:
         return IntPoly._trusted({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-        return IntPoly._trusted(acc)
+        b = _operand(IntPoly, other)
+        if b is None:
+            return NotImplemented
+        return IntPoly._trusted(add_into(dict(self.terms), b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        return self + (-other)
+        b = _operand(IntPoly, other)
+        if b is None:
+            return NotImplemented
+        return IntPoly._trusted(add_into(dict(self.terms), b, -1))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (self * -1).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        a, b = self.terms, other.terms
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:  # a shifted, scaled copy
-            (e2, c2), = b.items()
-            return IntPoly._trusted({e1 + e2: c1 * c2 for e1, c1 in a.items()})
-        acc = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        return IntPoly._trusted(acc)
+        b = _operand(IntPoly, other)
+        if b is None:
+            return NotImplemented
+        return IntPoly._trusted(mul_into({}, self.terms, b, operator.add))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        out = IntPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(IntPoly.const(1), self, n)
 
     def degree(self):
         if not self.terms:
@@ -128,13 +160,7 @@ class IntPoly:
             if r:
                 raise ArithmeticError("leading coefficient %d does not divide %d" % (lead, rem[e]))
             quo[e - d] = q
-            for e2, c2 in other.terms.items():
-                k = e - d + e2
-                s = rem.get(k, 0) - q * c2
-                if s:
-                    rem[k] = s
-                elif k in rem:
-                    del rem[k]
+            mul_into(rem, {e - d: -q}, other.terms, operator.add)
         return IntPoly(quo), IntPoly(rem)
 
     def exact_div(self, other):
@@ -200,58 +226,29 @@ class IntPoly2:
         return IntPoly2._trusted({ij: -c for ij, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPoly2.const(other)
-        acc = dict(self.terms)
-        for ij, c in other.terms.items():
-            s = acc.get(ij, 0) + c
-            if s:
-                acc[ij] = s
-            else:
-                del acc[ij]
-        return IntPoly2._trusted(acc)
+        b = _operand(IntPoly2, other)
+        if b is None:
+            return NotImplemented
+        return IntPoly2._trusted(add_into(dict(self.terms), b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly2.const(other)
-        return self + (-other)
+        b = _operand(IntPoly2, other)
+        if b is None:
+            return NotImplemented
+        return IntPoly2._trusted(add_into(dict(self.terms), b, -1))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = IntPoly2.const(other)
-        a, b = self.terms, other.terms
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:  # a shifted, scaled copy
-            ((i2, j2), c2), = b.items()
-            return IntPoly2._trusted({(i1 + i2, j1 + j2): c1 * c2
-                                      for (i1, j1), c1 in a.items()})
-        acc = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
-                ij = (i1 + i2, j1 + j2)
-                s = acc.get(ij, 0) + c1 * c2
-                if s:
-                    acc[ij] = s
-                elif ij in acc:
-                    del acc[ij]
-        return IntPoly2._trusted(acc)
+        b = _operand(IntPoly2, other)
+        if b is None:
+            return NotImplemented
+        return IntPoly2._trusted(mul_into({}, self.terms, b, _add_pairs))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        out = IntPoly2.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(IntPoly2.const(1), self, n)
 
     def coeff(self, i, j):
         return self.terms.get((i, j), 0)

@@ -17,14 +17,13 @@ or the constructor refuses the data.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import comb
 
-from .polys import IntPoly, IntPoly2
+from .polys import IntPoly, IntPoly2, add_into
 
 __all__ = [
     "CountingData",
@@ -132,13 +131,8 @@ def _lambda_images(target, g):
     if target.kind == "poincare":
         return [comb(2 * g, a) * IntPoly.x(a) for a in range(g + 1)]
     if target.kind == "hodge":
-        out = []
-        for a in range(g + 1):
-            p = IntPoly2()
-            for i in range(0, a + 1):
-                p = p + IntPoly2.monomial(i, a - i, comb(g, i) * comb(g, a - i))
-            out.append(p)
-        return out
+        return [IntPoly2({(i, a - i): comb(g, i) * comb(g, a - i) for i in range(a + 1)})
+                for a in range(g + 1)]
     if target.kind == "count":
         if target.counting is None:
             raise ValueError("counting realization needs point-count data")
@@ -166,40 +160,41 @@ def _lefschetz_image(target):
 
 def realize(series, target):
     """Apply the target homomorphism to a polynomial class, exponent by
-    exponent: the image of each coefficient is summed from the cached
-    images of its monomials, then multiplied by the image of L^e once.
-    The lambda images of POINCARE and HODGE are built once per genus; those
-    of a counting target depend on its data and are built per call.
+    exponent: the image of each coefficient is summed in place from the
+    cached images of its monomials, multiplied by the image of L^e and
+    added into the running total in place.  A count is summed as a
+    constant IntPoly.  The lambda images of POINCARE and HODGE are built
+    once per genus; those of a counting target depend on its data and are
+    built per call.  The zero class realizes to the int 0.
     The stored coefficients are taken at face value, so only feed this
     classes that are genuinely polynomial (moduli classes, symmetric
     powers, the Jacobian)."""
     if target.kind == "count":
-        lam = _lambda_images(target, series.g)
+        lam = [IntPoly.const(n) for n in _lambda_images(target, series.g)]
+        ell = IntPoly.const(_lefschetz_image(target))
     else:
         lam = _fixed_lambda_images(target.kind, series.g)
-    ell = _lefschetz_image(target)
-    images = {}
-    powers = [lam[0]]  # images of L^0, L^1, ..
+        ell = _lefschetz_image(target)
+    ring = type(ell)
+    if not series.coeffs:
+        return 0
 
-    def term(mono, n):
-        image = images.get(mono)
-        if image is None:
-            image = lam[0]
-            for i, ei in enumerate(mono):
-                if ei:
-                    image = image * lam[i + 1] ** ei
-            images[mono] = image
-        return image if n == 1 else n * image
+    @cache
+    def image(mono):
+        factors = (lam[i + 1] ** ei for i, ei in enumerate(mono) if ei)
+        return reduce(operator.mul, factors, lam[0]).terms
 
-    total = 0
+    powers, total = [lam[0]], {}  # powers: the images of L^0, L^1, ..
     for e, c in series.coeffs.items():
         if e < 0:
             raise ValueError("realization needs nonnegative exponents, got L^%d" % e)
         while len(powers) <= e:
             powers.append(powers[-1] * ell)
-        value = reduce(operator.add, itertools.starmap(term, c.terms.items()))
-        total = total + value * powers[e]
-    return total
+        value = {}
+        for mono, n in c.terms.items():
+            add_into(value, image(mono), n)
+        add_into(total, (ring._trusted(value) * powers[e]).terms)
+    return total.get(0, 0) if target.kind == "count" else ring._trusted(total)
 
 
 def newstead_oracle(g: int) -> IntPoly:

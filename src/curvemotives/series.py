@@ -32,6 +32,8 @@ import json
 import operator
 from dataclasses import dataclass
 
+from .polys import add_into, mul_into
+
 __all__ = [
     "Mode",
     "UnitSign",
@@ -213,45 +215,33 @@ class CoeffPoly:
     def __neg__(self):
         return CoeffPoly._trusted(self.g, {m: -c for m, c in self.terms.items()})
 
-    def __add__(self, other):
+    def _plus(self, other, n):
+        """self + n * other for an int or a same-ring CoeffPoly."""
         if isinstance(other, int):
             other = CoeffPoly.constant(self.g, other)
+        elif not isinstance(other, CoeffPoly):
+            return NotImplemented
         self._require_same_ring(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, 0) + c
-            if s:
-                acc[m] = s
-            elif m in acc:
-                del acc[m]
-        return CoeffPoly._trusted(self.g, acc)
+        return CoeffPoly._trusted(self.g, add_into(dict(self.terms), other.terms, n))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CoeffPoly.constant(self.g, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (self * -1)._plus(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return CoeffPoly.zero(self.g)
-            return CoeffPoly._trusted(self.g, {m: c * other for m, c in self.terms.items()})
+            return CoeffPoly._trusted(self.g, add_into({}, self.terms, other) if other else {})
+        if not isinstance(other, CoeffPoly):
+            return NotImplemented
         self._require_same_ring(other)
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = acc.get(m, 0) + c1 * c2
-                if s:
-                    acc[m] = s
-                elif m in acc:
-                    del acc[m]
-        return CoeffPoly._trusted(self.g, acc)
+        return CoeffPoly._trusted(self.g, mul_into({}, self.terms, other.terms, _mono_mul))
 
     __rmul__ = __mul__
 
@@ -437,7 +427,8 @@ class MotiveSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, n):
+        """self + n * other on the overlap of the validity ranges."""
         if isinstance(other, int):
             other = constant(self.ctx, other)
         if not isinstance(other, MotiveSeries):
@@ -447,20 +438,23 @@ class MotiveSeries:
         vhi = min(self.valid_hi, other.valid_hi)
         if vlo > vhi:
             raise ValueError("sum has empty validity range")
-        acc = {e: p for e, p in self.coeffs.items() if vlo <= e <= vhi}
+        g, acc = self.g, {e: p for e, p in self.coeffs.items() if vlo <= e <= vhi}
         for e, p in other.coeffs.items():
             if e < vlo or e > vhi:
                 continue
             q = acc.get(e)
-            if q is None:
+            if q is None and n == 1:
                 acc[e] = p
+                continue
+            row = add_into({} if q is None else dict(q.terms), p.terms, n)
+            if row:
+                acc[e] = CoeffPoly._trusted(g, row)
             else:
-                q = q + p
-                if q:
-                    acc[e] = q
-                else:
-                    del acc[e]
+                del acc[e]
         return MotiveSeries._trusted(self.ctx, acc, vlo, vhi)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -469,12 +463,10 @@ class MotiveSeries:
                                      self.valid_lo, self.valid_hi)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = constant(self.ctx, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (self * -1)._plus(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -499,7 +491,7 @@ class MotiveSeries:
         if vlo > vhi:
             raise ValueError("product has empty validity range (window too narrow)")
         # Each output exponent accumulates into one raw {monomial: int} row.
-        # A coefficient n*1 adds a scaled copy of the other one's terms.
+        # A coefficient n*1 adds n times the other one's terms.
         g, unit = self.g, _unit_mono(self.g)
         ys = [(e2, p2.terms, _unit_multiple(p2.terms, unit))
               for e2, p2 in other.coeffs.items()]
@@ -514,23 +506,12 @@ class MotiveSeries:
                 row = rows.get(e)
                 if row is None:
                     row = rows[e] = {}
-                if n1 is not None or n2 is not None:
-                    src, n = (t2, n1) if n1 is not None else (t1, n2)
-                    for m, c in src.items():
-                        s = row.get(m, 0) + c * n
-                        if s:
-                            row[m] = s
-                        else:
-                            del row[m]
-                    continue
-                for m1, c1 in t1.items():
-                    for m2, c2 in t2.items():
-                        m = _mono_mul(m1, m2)
-                        s = row.get(m, 0) + c1 * c2
-                        if s:
-                            row[m] = s
-                        else:
-                            del row[m]
+                if n1 is not None:
+                    add_into(row, t2, n1)
+                elif n2 is not None:
+                    add_into(row, t1, n2)
+                else:
+                    mul_into(row, t1, t2, _mono_mul)
         coeffs = {e: CoeffPoly._trusted(g, row) for e, row in rows.items() if row}
         return MotiveSeries._trusted(self.ctx, coeffs, vlo, vhi)
 
@@ -594,7 +575,7 @@ class MotiveSeries:
             steps, src, back = range(cx - i, vlo - 1, -1), i, i
         if vlo > vhi:
             raise ValueError("product has empty validity range (window too narrow)")
-        coeffs, acc = self.coeffs, {}
+        g, coeffs, acc = self.g, self.coeffs, {}
         for e in steps:  # out[e] = x[e + src] + out[e + back]
             here = coeffs.get(e + src)
             prev = acc.get(e + back)
@@ -604,9 +585,9 @@ class MotiveSeries:
             elif here is None:
                 acc[e] = prev
             else:
-                s = prev + here
+                s = add_into(dict(prev.terms), here.terms)
                 if s:  # a missing key reads as zero in later steps
-                    acc[e] = s
+                    acc[e] = CoeffPoly._trusted(g, s)
         return MotiveSeries._trusted(self.ctx, acc, vlo, vhi)
 
     def restricted(self, lo=None, hi=None):

@@ -74,6 +74,17 @@ def test_fail_report_carries_witness(monkeypatch):
     assert r.witness == {"exponent": 0, "delta": "-1"}
 
 
+def test_unstable_sum_disagreement_fails_as_a_step(monkeypatch):
+    # a disagreement with the closed form is a failing step with an
+    # exponent witness, not an error raised inside the sum
+    closed = moduli.unstable_rank2_var_closed
+    monkeypatch.setattr(moduli, "unstable_rank2_var_closed", lambda ctx: closed(ctx) + 1)
+    r = run_check("unstable-rank2-hn-sum", 2)
+    assert r.verdict == "fail"
+    assert r.witness == {"exponent": 0, "delta": "-1"}
+    assert [d["step"] for d in r.details if not d["ok"]] == ["sum-equals-closed-form"]
+
+
 def _plus(n):
     return lambda f: lambda *args: f(*args) + n
 

@@ -1,5 +1,7 @@
 """Numeric realizations, counting data, and the independent oracles."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -166,6 +168,14 @@ def test_negative_or_fractional_powers_raise(base):
             base ** n
     assert base ** 0 == 1
     assert base ** 3 == base * base * base
+
+
+def test_ring_operators_refuse_the_other_polynomial_type():
+    a, b, c = IntPoly.x(1), IntPoly2.monomial(1, 1), CoeffPoly.one(2)
+    for x, y in ((a, b), (b, a), (a, c), (c, a), (b, c), (c, b)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, y)
 
 
 def test_count_genus_mismatch_rejected():

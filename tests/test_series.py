@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from curvemotives.polys import IntPoly, IntPoly2
 from curvemotives.series import (
     CoeffPoly,
     GenusContext,
@@ -103,6 +104,27 @@ def test_ring_identities():
     assert bool((a * (b + c)).equals(a * b + a * c))
     assert bool((a * b).equals(b * a))
     assert bool((a - a).equals(zero(ctx)))
+
+
+def _no_negation(self):
+    raise AssertionError("subtraction built a negated copy")
+
+
+def test_subtraction_builds_no_negated_copy(monkeypatch):
+    ctx = GenusContext.adic(2, hi=8)
+    x = lambda_class(ctx, 1) * lambda_class(ctx, 3) + lefschetz_power(ctx, 2)
+    y = (lambda_class(ctx, 1) + lambda_class(ctx, 3)).shift(1) + 3
+    a, b = x.coefficient(1), y.coefficient(1)
+    p, q = IntPoly({0: 1, 2: -3}), IntPoly({2: -3, 5: 4})
+    r, s = IntPoly2({(0, 0): 2, (1, 1): 1}), IntPoly2({(1, 1): 1, (0, 2): -5})
+    pairs = [(x, y), (y, x), (x, x), (x, 2), (a, b), (a, a), (a, 5),
+             (p, q), (p, p), (p, 1), (r, s), (r, 7)]
+    want = [u + (-v) for u, v in pairs] + [(-u) + 3 for u in (x, a, p)]
+    witness = x.equals(y)
+    for cls in (CoeffPoly, MotiveSeries, IntPoly, IntPoly2):
+        monkeypatch.setattr(cls, "__neg__", _no_negation)
+    assert [u - v for u, v in pairs] + [3 - u for u in (x, a, p)] == want
+    assert x.equals(y) == witness and not witness
 
 
 def test_mul_narrows_validity_from_partial_factor():
