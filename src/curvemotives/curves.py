@@ -8,11 +8,11 @@ which are exact on the whole window by construction.
 
 from __future__ import annotations
 
-from .polys import add_into
 from .series import (
     CoeffPoly,
     Mode,
     MotiveSeries,
+    _run_class,
     lambda_class,
     lefschetz_power,
     one,
@@ -39,43 +39,38 @@ def _basis_row(g, b):
         c, off = b, 0
     else:
         c, off = 2 * g - b, b - g
-    return tuple(1 if i == c - 1 else 0 for i in range(g)), off
+    mono = [0] * g
+    if c:
+        mono[c - 1] = 1
+    return tuple(mono), off
 
 
-def _sym_terms(g, k):
-    """Raw coefficient dict of the k-th symmetric power class.
+def _h1_runs(g, m):
+    """Runs of the sum of l_a * L^{m a} over a = 0..2g, one term each."""
+    for a in range(0, 2 * g + 1):
+        mono, off = _basis_row(g, a)
+        yield mono, off + m * a, 1
 
-    The class is the sum of l_b * L^c over b + c <= k, with rows b > g
-    rewritten by duality (adding b-g to the L-offset of the whole row).
-    """
-    acc = {}
+
+def _sym_runs(g, k, shift=0):
+    """Runs of [C_k] L^shift.  The class is the sum of l_b * L^c over
+    b + c <= k: in the canonical basis each row b is a run of ones from
+    the L-offset of l_b, and rows b > g share their monomial with row 2g-b."""
     for b in range(0, min(k, 2 * g) + 1):
         mono, off = _basis_row(g, b)
-        for c in range(0, k - b + 1):
-            e = off + c
-            row = acc.setdefault(e, {})
-            row[mono] = row.get(mono, 0) + 1
-    return acc
-
-
-def _series_from_raw(ctx, raw):
-    # the rows of _sym_terms are canonical tuples with positive counts
-    return MotiveSeries(ctx, {e: CoeffPoly._trusted(ctx.g, row) for e, row in raw.items()})
+        yield mono, off + shift, k - b + 1
 
 
 def sym_power_class(ctx, k: int) -> MotiveSeries:
     """Class of the k-th symmetric power of the curve (k >= 0)."""
     if k < 0:
         raise ValueError("symmetric power index must be >= 0, got %d" % k)
-    return _series_from_raw(ctx, _sym_terms(ctx.g, k))
+    return _run_class(ctx, _sym_runs(ctx.g, k))
 
 
 def jacobian_class(ctx) -> MotiveSeries:
     """Class of the Jacobian: the sum of all exterior powers 0..2g."""
-    out = one(ctx)
-    for a in range(1, 2 * ctx.g + 1):
-        out = out + lambda_class(ctx, a)
-    return out
+    return _run_class(ctx, _h1_runs(ctx.g, 0))
 
 
 def binomial_h1_series(ctx, m: int) -> MotiveSeries:
@@ -84,13 +79,7 @@ def binomial_h1_series(ctx, m: int) -> MotiveSeries:
     of Z(C, L^m); m may be negative (the dimensional numerators)."""
     if m == 0:
         raise ValueError("binomial exponent must be nonzero")
-    g = ctx.g
-    raw = {}
-    for a in range(0, 2 * g + 1):
-        mono, off = _basis_row(g, a)
-        row = raw.setdefault(off + m * a, {})
-        row[mono] = row.get(mono, 0) + 1
-    return _series_from_raw(ctx, raw)
+    return _run_class(ctx, _h1_runs(ctx.g, m))
 
 
 class ZetaSeries:
@@ -139,21 +128,21 @@ def zeta_at_lefschetz(ctx, i: int) -> MotiveSeries:
             raise ValueError("adic zeta evaluation needs i >= 1, got %d" % i)
         # the k-th term has support [ik, ik+k]; what passes the ceiling is
         # truncated away
-        more, keep = (lambda k: i * k <= w.hi), (lambda e: e <= w.hi)
+        more = lambda k: i * k <= w.hi
     else:
         if i > -2:
             raise ValueError("dimensional zeta evaluation needs i <= -2, got %d" % i)
         # the k-th term has support [ik, ik+k]; it clears the floor once
         # k(i+1) < lo.  The ceiling is a hard support bound: support above
-        # it is refused by the MotiveSeries constructor, not dropped here.
-        more, keep = (lambda k: k * (i + 1) >= w.lo), (lambda e: e >= w.lo)
-    acc, k = {}, 0
-    while more(k):
-        for e, row in _sym_terms(ctx.g, k).items():
-            if keep(e + i * k):
-                add_into(acc.setdefault(e + i * k, {}), row)
-        k += 1
-    return _series_from_raw(ctx, acc)
+        # it is refused, as by the MotiveSeries constructor, never dropped.
+        more = lambda k: k * (i + 1) >= w.lo
+
+    def runs():
+        k = 0
+        while more(k):
+            yield from _sym_runs(ctx.g, k, i * k)
+            k += 1
+    return _run_class(ctx, runs())
 
 
 def dec_zeta_finite_part(ctx, i: int) -> MotiveSeries:

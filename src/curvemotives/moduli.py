@@ -157,7 +157,7 @@ def unstable_rank3_chi(ctx) -> MotiveSeries:
 
     and insists they agree before returning.  Z(C,L) enters through its
     numerator (1+L)^{h1}: every product is with a finite class, and the
-    units are divided out as running sums."""
+    units are divided out with div_unit."""
     _require_adic(ctx)
     g = ctx.g
     jac = jacobian_class(ctx)
@@ -352,7 +352,7 @@ def inversion_formula(ctx, spec: InversionSpec) -> MotiveSeries:
     total = zero(ctx)
     for comp in spec.compositions():
         s = len(comp)
-        # the finite numerator first, then one running sum per unit
+        # the finite numerator first, then one division per unit
         term = jac ** s
         units = [1] * (s - 1)
         for nj in comp:
@@ -400,7 +400,10 @@ def _rehome(ctx, closed, floor):
         raise ArithmeticError(
             "closed form is valid only from L^%d, above the termwise floor L^%d"
             % (closed.valid_lo, floor))
-    return MotiveSeries(ctx, closed.coeffs, valid_lo=floor)
+    # the deeper window shares the ceiling, so restricting it to the floor
+    # of ctx gives a series of ctx; a sum is valid on the overlap of its
+    # terms, so adding zero known from ``floor`` narrows the range
+    return closed.restricted(ctx.window.lo) + MotiveSeries(ctx, valid_lo=floor)
 
 
 def behrend_dhillon_bun(ctx, r: int) -> MotiveSeries:

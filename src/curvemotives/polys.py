@@ -4,7 +4,8 @@ A term dict maps a key to a nonzero int.  ``add_into`` and ``mul_into`` are
 the only code that sums or multiplies term dicts: they accumulate into their
 first argument in place and drop zero sums.  ``combine`` adds two keys:
 ``operator.add`` for ``IntPoly``, a pair sum for ``IntPoly2``, the monomial
-product for ``CoeffPoly``.
+product for ``CoeffPoly`` and for the packed classes of ``MotiveSeries``,
+whose values are whole Laurent polynomials in L packed into ints.
 
 ``IntPoly`` and ``IntPoly2`` serve the numeric realizations and oracles.
 The constructors drop zero coefficients; the ring operations call the
@@ -238,6 +239,9 @@ class IntPoly2:
         if b is None:
             return NotImplemented
         return IntPoly2._trusted(add_into(dict(self.terms), b, -1))
+
+    def __rsub__(self, other):
+        return (self * -1).__add__(other)
 
     def __mul__(self, other):
         b = _operand(IntPoly2, other)

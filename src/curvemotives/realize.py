@@ -159,13 +159,14 @@ def _lefschetz_image(target):
 
 
 def realize(series, target):
-    """Apply the target homomorphism to a polynomial class, exponent by
-    exponent: the image of each coefficient is summed in place from the
-    cached images of its monomials, multiplied by the image of L^e and
-    added into the running total in place.  A count is summed as a
-    constant IntPoly.  The lambda images of POINCARE and HODGE are built
-    once per genus; those of a counting target depend on its data and are
-    built per call.  The zero class realizes to the int 0.
+    """Apply the target homomorphism to a polynomial class, monomial by
+    monomial: the Laurent polynomial in L that each lambda-monomial carries
+    is summed in place from the images of the powers of L, multiplied by
+    the images of the monomial's factors and added into the running total
+    in place.  A count is summed as a constant IntPoly.  The lambda images of
+    POINCARE and HODGE are built once per genus; those of a counting target
+    depend on its data and are built per call.  The zero class realizes to
+    the int 0.
     The stored coefficients are taken at face value, so only feed this
     classes that are genuinely polynomial (moduli classes, symmetric
     powers, the Jacobian)."""
@@ -176,24 +177,23 @@ def realize(series, target):
         lam = _fixed_lambda_images(target.kind, series.g)
         ell = _lefschetz_image(target)
     ring = type(ell)
-    if not series.coeffs:
+    rows = series._lpolys()
+    if not rows:
         return 0
-
-    @cache
-    def image(mono):
-        factors = (lam[i + 1] ** ei for i, ei in enumerate(mono) if ei)
-        return reduce(operator.mul, factors, lam[0]).terms
-
-    powers, total = [lam[0]], {}  # powers: the images of L^0, L^1, ..
-    for e, c in series.coeffs.items():
-        if e < 0:
-            raise ValueError("realization needs nonnegative exponents, got L^%d" % e)
-        while len(powers) <= e:
-            powers.append(powers[-1] * ell)
+    exponents = [e for _, terms in rows for e, _ in terms]
+    low, top = min(exponents), max(exponents)
+    if low < 0:
+        raise ValueError("realization needs nonnegative exponents, got L^%d" % low)
+    powers = [lam[0]]  # the images of L^0, L^1, ..
+    while len(powers) <= top:
+        powers.append(powers[-1] * ell)
+    total = {}
+    for mono, terms in rows:
         value = {}
-        for mono, n in c.terms.items():
-            add_into(value, image(mono), n)
-        add_into(total, (ring._trusted(value) * powers[e]).terms)
+        for e, c in terms:
+            add_into(value, powers[e].terms, c)
+        factors = (lam[i + 1] ** ei for i, ei in enumerate(mono) if ei)
+        add_into(total, reduce(operator.mul, factors, ring._trusted(value)).terms)
     return total.get(0, 0) if target.kind == "count" else ring._trusted(total)
 
 

@@ -23,6 +23,33 @@ ADIC mode valid_lo is pinned to the window floor; in DIMENSIONAL mode
 valid_hi is pinned to the ceiling.  Multiplication shrinks the free end of
 the range using the true-support bound of the other factor, so equality
 verdicts (which compare on the overlap of validity ranges) are always sound.
+
+A series is stored Kronecker-packed, one Python int per lambda-monomial.
+The int holds that monomial's Laurent polynomial in L in slots of W bits:
+slot s holds the coefficient of the exponent s steps in from the window's
+exact end, L^(lo+s) in ADIC mode and L^(hi-s) in DIMENSIONAL mode, and the
+slots cover the validity range only.  Digits are balanced: a slot holds a
+signed coefficient c with |c| < 2^(W-1), and the int is the plain sum of
+c * 2^(sW), so a negative coefficient borrows one from the slot above.
+Then a product is one big-int product per pair of monomials, a sum one int
+sum per monomial, shift a bit shift, the cut to a validity range a mask
+with a sign fix (or a right shift with a borrow fix), and a division by a
+unit one exact integer division per monomial.
+
+The slot width is never fixed.  Each series carries a proven bound on the
+absolute value of its coefficients, and W is the smallest multiple of 24
+that holds the bound and a sign bit: whole bytes, so that digits split and
+repack through bytes, and narrow, because a product costs more per bit of
+its factors.  Each operation derives the bound of its result before any
+arithmetic: B_x + |n| B_y for x + n y, B_x B_y min(T_x, T_y) for a product,
+with T the number of slots each monomial spans summed over the monomials
+(no output coefficient sums more pairs of terms than either factor has
+terms), and B ceil(n/i) for a division by a unit over n output slots.  An
+operand whose slots are narrower than the result's is repacked first.
+
+CoeffPoly stays the public coefficient type: ``coeffs``, ``coefficient``,
+``items``, the witnesses of ``equals`` and the JSON form decode the packed
+ints on demand.
 """
 
 from __future__ import annotations
@@ -126,9 +153,75 @@ def _mono_mul(m, n):
     return tuple(map(operator.add, m, n))
 
 
-def _unit_multiple(terms, unit):
-    """n when ``terms`` is the integer n times the unit monomial, else None."""
-    return terms[unit] if len(terms) == 1 and unit in terms else None
+# -- balanced-digit packing ------------------------------------------------
+
+
+def _width(bound):
+    """Slot width for coefficients of absolute value at most ``bound``."""
+    return -(-(bound.bit_length() + 1) // 24) * 24
+
+
+def _fill(value, nbytes, n):
+    """The int holding ``value`` in each of n slots of ``nbytes`` bytes."""
+    return int.from_bytes(value.to_bytes(nbytes, "little") * n, "little")
+
+
+def _digits(v, width, n):
+    """The n balanced digits of v, lowest slot first.  Adding half a slot to
+    every digit makes them all non-negative, so the bytes split cleanly."""
+    k, half = width // 8, 1 << (width - 1)
+    raw = (v + _fill(half, k, n)).to_bytes(n * k, "little")
+    return [int.from_bytes(raw[j:j + k], "little") - half for j in range(0, n * k, k)]
+
+
+def _pack(digits, width):
+    """The int of the balanced digits {slot: digit}; inverse of _digits.
+    Each digit is written in two's complement, and a negative one then
+    takes its borrow from the slot above."""
+    k, mask = width // 8, (1 << width) - 1
+    size = (max(digits) + 2) * k
+    raw, borrow = bytearray(size), bytearray(size)
+    for s, d in digits.items():
+        raw[s * k:s * k + k] = (d & mask).to_bytes(k, "little")
+        if d < 0:
+            borrow[s * k + k] = 1
+    return int.from_bytes(raw, "little") - int.from_bytes(borrow, "little")
+
+
+def _repack(packed, width, new_width, n):
+    """The ints of ``packed``, of n slots each, with every digit moved into
+    a slot of ``new_width`` bits (new_width > width)."""
+    k, k2, half = width // 8, new_width // 8, 1 << (width - 1)
+    lift, lower = _fill(half, k, n), _fill(half, k2, n)
+    out = {}
+    for m, v in packed.items():
+        src, dst = (v + lift).to_bytes(n * k, "little"), bytearray(n * k2)
+        for j in range(k):
+            dst[j::k2] = src[j::k]
+        out[m] = int.from_bytes(dst, "little") - lower
+    return out
+
+
+def _cut(v, bits):
+    """The slots of v below bit ``bits`` (a slot boundary), read as
+    balanced digits: a mask, less 2^bits when the top kept digit is
+    negative."""
+    r = v & ((1 << bits) - 1)
+    return r - (1 << bits) if r >> (bits - 1) else r
+
+
+def _drop(v, bits):
+    """The slots of v from bit ``bits`` (a slot boundary) up: a right shift,
+    plus the one the dropped digits borrowed if they are negative."""
+    return (v >> bits) + ((v >> (bits - 1)) & 1) if bits else v
+
+
+def _exact_end_error(ctx, e):
+    """The error for support at L^e beyond the hard end of the window."""
+    w = ctx.window
+    if ctx.mode is Mode.ADIC:
+        return ValueError("support at L^%d below the adic window floor %d" % (e, w.lo))
+    return ValueError("support at L^%d above the dimensional ceiling %d" % (e, w.hi))
 
 
 def _mono_str(mono):
@@ -296,18 +389,23 @@ class Comparison:
 class MotiveSeries:
     """A window-truncated Laurent polynomial in L over CoeffPoly scalars.
 
-    ``coeffs`` maps an L-exponent to a nonzero CoeffPoly.  Stored keys always
-    lie inside the validity range.  Constructing with support on the exact
-    side of the window (below the floor in ADIC mode, above the ceiling in
-    DIMENSIONAL mode) is an error -- that side is a hard support bound, not a
-    truncation -- while support beyond the truncated side is discarded, which
-    is what truncation means.
+    ``packed`` maps a canonical lambda-monomial to a nonzero int that holds
+    the monomial's Laurent polynomial in L in balanced digits of ``width``
+    bits, on the slots of the validity range (see the module docstring);
+    every coefficient is at most ``bound`` in absolute value, and
+    ``width`` is the width of that bound; ``shape`` caches the occupied
+    slots (see ``_shape``).  ``coeffs`` is the decoded view
+    {exponent: CoeffPoly}.  Constructing with support on the exact side of
+    the window (below the floor in ADIC mode, above the ceiling in
+    DIMENSIONAL mode) is an error -- that side is a hard support bound, not
+    a truncation -- while support beyond the truncated side is discarded,
+    which is what truncation means.
 
     As with CoeffPoly, only the public constructor validates; the ring
     operations build their results through ``_trusted``.
     """
 
-    __slots__ = ("ctx", "coeffs", "valid_lo", "valid_hi")
+    __slots__ = ("ctx", "packed", "width", "bound", "valid_lo", "valid_hi", "shape")
 
     def __init__(self, ctx, coeffs=None, valid_lo=None, valid_hi=None):
         w = ctx.window
@@ -317,13 +415,14 @@ class MotiveSeries:
             valid_hi = w.hi
         valid_lo = max(valid_lo, w.lo)
         valid_hi = min(valid_hi, w.hi)
-        if ctx.mode is Mode.ADIC:
+        adic = ctx.mode is Mode.ADIC
+        if adic:
             valid_lo = w.lo
         else:
             valid_hi = w.hi
         if valid_lo > valid_hi:
             raise ValueError("series with empty validity range")
-        store = {}
+        rows, bound = {}, 0  # rows: {monomial: {slot: coefficient}}
         if coeffs:
             for e, p in coeffs.items():
                 if isinstance(p, int):
@@ -332,34 +431,44 @@ class MotiveSeries:
                     raise ValueError("coefficient over g=%d in a g=%d context" % (p.g, ctx.g))
                 if not p:
                     continue
-                if ctx.mode is Mode.ADIC:
+                if adic:
                     if e < w.lo:
-                        raise ValueError(
-                            "support at L^%d below the adic window floor %d" % (e, w.lo))
+                        raise _exact_end_error(ctx, e)
                     if e > valid_hi:
                         continue
                 else:
                     if e > w.hi:
-                        raise ValueError(
-                            "support at L^%d above the dimensional ceiling %d" % (e, w.hi))
+                        raise _exact_end_error(ctx, e)
                     if e < valid_lo:
                         continue
-                store[e] = p
+                s = e - w.lo if adic else w.hi - e
+                for mono, c in p.terms.items():
+                    rows.setdefault(mono, {})[s] = c
+                    bound = max(bound, abs(c))
+        width = _width(bound)
+        packed = {mono: _pack(row, width) for mono, row in rows.items()}
         self.ctx = ctx
-        self.coeffs = store
+        self.packed = packed
+        self.width = width
+        self.bound = bound
         self.valid_lo = valid_lo
         self.valid_hi = valid_hi
+        self.shape = None
 
     @classmethod
-    def _trusted(cls, ctx, coeffs, valid_lo, valid_hi):
-        """Wrap ``coeffs`` as is: nonzero CoeffPolys of genus ctx.g on keys
-        inside [valid_lo, valid_hi], a range the window mode allows.  The
-        dict is taken over, not copied."""
+    def _trusted(cls, ctx, packed, width, bound, valid_lo, valid_hi):
+        """Wrap ``packed`` as is: nonzero ints whose balanced ``width``-bit
+        digits are at most ``bound`` in absolute value, ``width`` the width
+        of ``bound``, on the slots of [valid_lo, valid_hi], a range the
+        window mode allows.  The dict is taken over, not copied."""
         self = object.__new__(cls)
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.packed = packed
+        self.width = width
+        self.bound = bound
         self.valid_lo = valid_lo
         self.valid_hi = valid_hi
+        self.shape = None
         return self
 
     # -- bookkeeping -------------------------------------------------------
@@ -376,17 +485,79 @@ class MotiveSeries:
         if self.ctx != other.ctx:
             raise ValueError("series from different contexts cannot be combined")
 
+    def _shape(self):
+        """(lowest occupied slot, highest occupied slot, the slots each
+        monomial spans summed) of a nonzero series, computed on first use.
+        The sum bounds the number of nonzero coefficients."""
+        if self.shape is None:
+            w, vals = self.width, self.packed.values()
+            lows = [((v & -v).bit_length() - 1) // w for v in vals]
+            tops = [abs(v).bit_length() // w for v in vals]
+            self.shape = (min(lows), max(tops), sum(tops) - sum(lows) + len(tops))
+        return self.shape
+
     def _support_floor(self):
         # ADIC: exact lower bound of the true support.  A series that is zero
         # on its whole validity range can hide support only above it.
-        if self.coeffs:
-            return min(self.coeffs)
-        return self.valid_hi + 1
+        if not self.packed:
+            return self.valid_hi + 1
+        low, top, _ = self._shape()
+        if self.mode is Mode.ADIC:
+            return self.ctx.window.lo + low
+        return self.ctx.window.hi - top
 
     def _support_ceiling(self):
-        if self.coeffs:
-            return max(self.coeffs)
-        return self.valid_lo - 1
+        if not self.packed:
+            return self.valid_lo - 1
+        low, top, _ = self._shape()
+        if self.mode is Mode.ADIC:
+            return self.ctx.window.lo + top
+        return self.ctx.window.hi - low
+
+    def _view(self, lo, hi, width):
+        """The packed terms on [lo, hi], a range inside the validity range,
+        with slot 0 at its exact end and ``width`` >= self.width bits per
+        slot.  May be ``self.packed`` itself: never change it."""
+        w, own = self.ctx.window, self.width
+        skip = lo - w.lo if self.mode is Mode.ADIC else w.hi - hi
+        n = hi - lo + 1
+        out = self.packed
+        if skip or n < self.valid_hi - self.valid_lo + 1:
+            low, bits = skip * own, n * own
+            out = {}
+            for m, v in self.packed.items():
+                v = _cut(_drop(v, low), bits)
+                if v:
+                    out[m] = v
+        return _repack(out, own, width, n) if width != own else out
+
+    def _stripped(self, low, width):
+        """The packed terms at ``width`` bits per slot, with the ``low``
+        empty slots at the exact end shifted out."""
+        view = self._view(self.valid_lo, self.valid_hi, width)
+        bits = low * width
+        return {m: v >> bits for m, v in view.items()} if bits else view
+
+    def _lpolys(self):
+        """[(monomial, [(exponent, coefficient), ..]), ..]: the Laurent
+        polynomial of each monomial, nonzero coefficients only."""
+        w, width = self.ctx.window, self.width
+        base, step = (w.lo, 1) if self.mode is Mode.ADIC else (w.hi, -1)
+        out = []
+        for mono, v in self.packed.items():
+            digits = _digits(v, width, abs(v).bit_length() // width + 1)
+            out.append((mono, [(base + step * s, c) for s, c in enumerate(digits) if c]))
+        return out
+
+    @property
+    def coeffs(self):
+        """{exponent: CoeffPoly} on the validity range in ascending order,
+        zeros omitted: decoded from the packed ints on every read."""
+        rows = {}
+        for mono, terms in self._lpolys():
+            for e, c in terms:
+                rows.setdefault(e, {})[mono] = c
+        return {e: CoeffPoly._trusted(self.g, rows[e]) for e in sorted(rows)}
 
     def coefficient(self, e):
         """Exact coefficient of L^e; e must lie in the validity range."""
@@ -407,8 +578,17 @@ class MotiveSeries:
 
     def vanishes_above(self, bound):
         """First exponent > bound (within validity) with a nonzero coefficient, or None."""
-        bad = [e for e in self.coeffs if e > bound]
-        return min(bad) if bad else None
+        w, width = self.ctx.window, self.width
+        if self.mode is Mode.ADIC:
+            first = max(bound + 1 - w.lo, 0)  # the slots from here up lie above bound
+            lows = [h & -h for h in (_drop(v, first * width) for v in self.packed.values()) if h]
+            return w.lo + first + (min(lows).bit_length() - 1) // width if lows else None
+        below = w.hi - bound  # the slots below this one lie above bound
+        if below <= 0:
+            return None
+        tops = [abs(c).bit_length() for c in (_cut(v, below * width) for v in self.packed.values())
+                if c]
+        return w.hi - max(tops) // width if tops else None
 
     def validate(self):
         """Assert the representation invariants; used by property tests."""
@@ -418,11 +598,16 @@ class MotiveSeries:
             assert self.valid_lo == w.lo
         else:
             assert self.valid_hi == w.hi
-        for e, p in self.coeffs.items():
-            assert self.valid_lo <= e <= self.valid_hi
-            assert isinstance(p, CoeffPoly) and p.g == self.g and p
-            for mono, c in p.terms.items():
-                assert len(mono) == self.g and all(m >= 0 for m in mono) and c != 0
+        width, n = self.width, self.valid_hi - self.valid_lo + 1
+        assert width == _width(self.bound)
+        for mono, v in self.packed.items():
+            assert type(mono) is tuple and len(mono) == self.g
+            assert all(type(m) is int and m >= 0 for m in mono)
+            assert type(v) is int and v != 0
+            assert abs(v).bit_length() < n * width  # nothing past the last slot
+            digits = _digits(v, width, n)
+            assert _pack(dict(enumerate(digits)), width) == v
+            assert all(abs(c) <= self.bound for c in digits)
         return True
 
     # -- ring operations ---------------------------------------------------
@@ -438,20 +623,10 @@ class MotiveSeries:
         vhi = min(self.valid_hi, other.valid_hi)
         if vlo > vhi:
             raise ValueError("sum has empty validity range")
-        g, acc = self.g, {e: p for e, p in self.coeffs.items() if vlo <= e <= vhi}
-        for e, p in other.coeffs.items():
-            if e < vlo or e > vhi:
-                continue
-            q = acc.get(e)
-            if q is None and n == 1:
-                acc[e] = p
-                continue
-            row = add_into({} if q is None else dict(q.terms), p.terms, n)
-            if row:
-                acc[e] = CoeffPoly._trusted(g, row)
-            else:
-                del acc[e]
-        return MotiveSeries._trusted(self.ctx, acc, vlo, vhi)
+        bound = self.bound + abs(n) * other.bound
+        width = _width(bound)
+        acc = add_into(dict(self._view(vlo, vhi, width)), other._view(vlo, vhi, width), n)
+        return MotiveSeries._trusted(self.ctx, acc, width, bound, vlo, vhi)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -459,8 +634,8 @@ class MotiveSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return MotiveSeries._trusted(self.ctx, {e: -p for e, p in self.coeffs.items()},
-                                     self.valid_lo, self.valid_hi)
+        return MotiveSeries._trusted(self.ctx, {m: -v for m, v in self.packed.items()},
+                                     self.width, self.bound, self.valid_lo, self.valid_hi)
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -470,50 +645,54 @@ class MotiveSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            coeffs = {e: p * other for e, p in self.coeffs.items()} if other else {}
-            return MotiveSeries._trusted(self.ctx, coeffs, self.valid_lo, self.valid_hi)
+            bound = self.bound * abs(other)
+            width = _width(bound)
+            packed = {}
+            if other:
+                view = self._view(self.valid_lo, self.valid_hi, width)
+                packed = {m: v * other for m, v in view.items()}
+            return MotiveSeries._trusted(self.ctx, packed, width, bound,
+                                         self.valid_lo, self.valid_hi)
         if not isinstance(other, MotiveSeries):
             return NotImplemented
         self._require_same_ctx(other)
         w = self.ctx.window
-        if self.mode is Mode.ADIC:
+        adic = self.mode is Mode.ADIC
+        if adic:
             fx, fy = self._support_floor(), other._support_floor()
-            if self.coeffs and other.coeffs and fx + fy < w.lo:
+            if self.packed and other.packed and fx + fy < w.lo:
                 raise ValueError("product support would start below the window floor")
             vlo = w.lo
             vhi = min(w.hi, self.valid_hi + fy, other.valid_hi + fx)
         else:
             cx, cy = self._support_ceiling(), other._support_ceiling()
-            if self.coeffs and other.coeffs and cx + cy > w.hi:
+            if self.packed and other.packed and cx + cy > w.hi:
                 raise ValueError("product support would pass the window ceiling")
             vlo = max(w.lo, self.valid_lo + cy, other.valid_lo + cx)
             vhi = w.hi
         if vlo > vhi:
             raise ValueError("product has empty validity range (window too narrow)")
-        # Each output exponent accumulates into one raw {monomial: int} row.
-        # A coefficient n*1 adds n times the other one's terms.
-        g, unit = self.g, _unit_mono(self.g)
-        ys = [(e2, p2.terms, _unit_multiple(p2.terms, unit))
-              for e2, p2 in other.coeffs.items()]
-        rows = {}
-        for e1, p1 in self.coeffs.items():
-            t1 = p1.terms
-            n1 = _unit_multiple(t1, unit)
-            for e2, t2, n2 in ys:
-                e = e1 + e2
-                if e < vlo or e > vhi:
-                    continue
-                row = rows.get(e)
-                if row is None:
-                    row = rows[e] = {}
-                if n1 is not None:
-                    add_into(row, t2, n1)
-                elif n2 is not None:
-                    add_into(row, t1, n2)
-                else:
-                    mul_into(row, t1, t2, _mono_mul)
-        coeffs = {e: CoeffPoly._trusted(g, row) for e, row in rows.items() if row}
-        return MotiveSeries._trusted(self.ctx, coeffs, vlo, vhi)
+        packed, bound = {}, 0
+        if self.packed and other.packed:
+            (lx, hx, tx), (ly, hy, ty) = self._shape(), other._shape()
+            bound = self.bound * other.bound * min(tx, ty)
+        width = _width(bound)
+        if bound:
+            # the empty slots at each factor's exact end are shifted out
+            # first; slot s1 + s2 of a raw product is then slot
+            # s1 + s2 + lx + ly + lo (adic) or s1 + s2 + lx + ly - hi
+            # (dimensional) of the window, and the support checks above
+            # leave the slots a right shift drops empty
+            packed = mul_into({}, self._stripped(lx, width), other._stripped(ly, width),
+                              _mono_mul)
+            base = w.lo if adic else -w.hi
+            off = (lx + ly + base) * width
+            if off:
+                packed = {m: v << off if off > 0 else v >> -off for m, v in packed.items()}
+            if hx + hy + base > vhi - vlo:  # some product passes the last slot
+                bits = (vhi - vlo + 1) * width
+                packed = {m: c for m, c in ((m, _cut(v, bits)) for m, v in packed.items()) if c}
+        return MotiveSeries._trusted(self.ctx, packed, width, bound, vlo, vhi)
 
     __rmul__ = __mul__
 
@@ -529,66 +708,74 @@ class MotiveSeries:
         """Multiply by L^e: shift all exponents and the validity range."""
         w = self.ctx.window
         if self.mode is Mode.ADIC:
-            if self.coeffs and min(self.coeffs) + e < w.lo:
+            if self.packed and self._support_floor() + e < w.lo:
                 raise ValueError("shift pushes support below the window floor")
             vlo = w.lo
             vhi = min(w.hi, self.valid_hi + e)
             if vhi < vlo:
                 raise ValueError("shift leaves an empty validity range")
+            up = e * self.width  # bits toward the free end
         else:
-            if self.coeffs and max(self.coeffs) + e > w.hi:
+            if self.packed and self._support_ceiling() + e > w.hi:
                 raise ValueError("shift pushes support above the window ceiling")
             vlo = max(w.lo, self.valid_lo + e)
             vhi = w.hi
             if vlo > vhi:
                 raise ValueError("shift leaves an empty validity range")
-        acc = {k + e: p for k, p in self.coeffs.items() if vlo <= k + e <= vhi}
-        return MotiveSeries._trusted(self.ctx, acc, vlo, vhi)
+            up = -e * self.width
+        bits = (vhi - vlo + 1) * self.width
+        packed = {}
+        for m, v in self.packed.items():
+            # a right shift drops only empty slots: the checks above
+            v = _cut(v << up, bits) if up >= 0 else v >> -up
+            if v:
+                packed[m] = v
+        return MotiveSeries._trusted(self.ctx, packed, self.width, self.bound, vlo, vhi)
 
     def div_unit(self, i):
-        """Divide by 1 - L^i (adic) or L^i - 1 (dimensional) as a running sum.
+        """Divide by 1 - L^i (adic) or L^i - 1 (dimensional).
 
-        ADIC: out[e] = x[e] + out[e-i].  DIMENSIONAL: out[e] = x[e+i] +
-        out[e+i].  The result, its validity range and any error are exactly
-        those of ``self * geom_unit_inverse(ctx, i, sign)``, without
-        materializing the geometric series."""
+        The result, its validity range and any error are exactly those of
+        ``self * geom_unit_inverse(ctx, i, sign)``.  With B = 2^(W i) the
+        inverse is 1 + B + B^2 + .. (adic) or B + B^2 + .. (dimensional) in
+        slot terms, so each monomial's int v becomes (v B^m - v) / (B - 1),
+        an exact division, times B in dimensional mode, cut to the validity
+        range; m is the number of terms the output slots need."""
         if i < 1:
             raise ValueError("unit exponent must be positive, got i=%d" % i)
         w = self.ctx.window
         # The ranges below are those of the product with the inverse, whose
         # support is 0, i, 2i, .. (adic) or -i, -2i, .. (dimensional) and
         # whose validity range is the whole window.
-        if self.mode is Mode.ADIC:
+        adic = self.mode is Mode.ADIC
+        if adic:
             if w.lo > 0:
-                raise ValueError("support at L^0 below the adic window floor %d" % w.lo)
+                raise _exact_end_error(self.ctx, 0)
             fx = self._support_floor()
             fy = 0 if w.hi >= 0 else w.hi + 1
             vlo, vhi = w.lo, min(w.hi, self.valid_hi + fy, w.hi + fx)
-            steps, src, back = range(fx, vhi + 1), 0, -i
         else:
             if -i > w.hi:
-                raise ValueError(
-                    "support at L^%d above the dimensional ceiling %d" % (-i, w.hi))
+                raise _exact_end_error(self.ctx, -i)
             cx = self._support_ceiling()
             cy = -i if -i >= w.lo else w.lo - 1
             vlo, vhi = max(w.lo, self.valid_lo + cy, w.lo + cx), w.hi
-            steps, src, back = range(cx - i, vlo - 1, -1), i, i
         if vlo > vhi:
             raise ValueError("product has empty validity range (window too narrow)")
-        g, coeffs, acc = self.g, self.coeffs, {}
-        for e in steps:  # out[e] = x[e + src] + out[e + back]
-            here = coeffs.get(e + src)
-            prev = acc.get(e + back)
-            if prev is None:
-                if here is not None:
-                    acc[e] = here
-            elif here is None:
-                acc[e] = prev
-            else:
-                s = add_into(dict(prev.terms), here.terms)
-                if s:  # a missing key reads as zero in later steps
-                    acc[e] = CoeffPoly._trusted(g, s)
-        return MotiveSeries._trusted(self.ctx, acc, vlo, vhi)
+        n = vhi - vlo + 1
+        terms = -(-n // i)  # each output coefficient sums at most this many
+        bound = self.bound * terms
+        width = _width(bound)
+        step = i * width
+        unit, span, head = (1 << step) - 1, terms * step, 0 if adic else step
+        bits = n * width
+        packed = {}
+        for m, v in self._view(self.valid_lo, self.valid_hi, width).items():
+            v <<= head
+            v = _cut(((v << span) - v) // unit, bits)
+            if v:
+                packed[m] = v
+        return MotiveSeries._trusted(self.ctx, packed, width, bound, vlo, vhi)
 
     def restricted(self, lo=None, hi=None):
         """Re-truncate to a narrower window.  Only the truncated side may move."""
@@ -602,8 +789,12 @@ class MotiveSeries:
             if hi != w.hi or lo < w.lo:
                 raise ValueError("a dimensional window may only shrink from below")
         ctx2 = GenusContext(self.g, TruncationWindow(lo, hi, self.mode))
-        return MotiveSeries(ctx2, {e: p for e, p in self.coeffs.items() if lo <= e <= hi},
-                            max(self.valid_lo, lo), min(self.valid_hi, hi))
+        vlo, vhi = max(self.valid_lo, lo), min(self.valid_hi, hi)
+        if vlo > vhi:
+            raise ValueError("series with empty validity range")
+        # the exact end stays where it was, and with it every slot
+        return MotiveSeries._trusted(ctx2, self._view(vlo, vhi, self.width), self.width,
+                                     self.bound, vlo, vhi)
 
     # -- comparison and serialization -------------------------------------
 
@@ -622,21 +813,25 @@ class MotiveSeries:
         hi = min(self.valid_hi, other.valid_hi)
         if lo > hi:
             raise ValueError("no shared validity range to compare on")
-        zero = CoeffPoly.zero(self.g)
-        for e in sorted(set(self.coeffs) | set(other.coeffs)):
-            if e < lo or e > hi:
-                continue
-            mine = self.coeffs.get(e, zero)
-            theirs = other.coeffs.get(e, zero)
-            if mine != theirs:
-                return Comparison(False, lo, hi, e, mine - theirs)
-        return Comparison(True, lo, hi)
+        width = _width(self.bound + other.bound)
+        diff = add_into(dict(self._view(lo, hi, width)), other._view(lo, hi, width), -1)
+        if not diff:
+            return Comparison(True, lo, hi)
+        if self.mode is Mode.ADIC:
+            e = lo + (min(d & -d for d in diff.values()).bit_length() - 1) // width
+        else:
+            e = hi - max(abs(d).bit_length() for d in diff.values()) // width
+        return Comparison(False, lo, hi, e, self.coefficient(e) - other.coefficient(e))
 
     def __eq__(self, other):
         if not isinstance(other, MotiveSeries):
             return NotImplemented
-        return (self.ctx == other.ctx and self.coeffs == other.coeffs
-                and self.valid_lo == other.valid_lo and self.valid_hi == other.valid_hi)
+        if (self.ctx != other.ctx or self.valid_lo != other.valid_lo
+                or self.valid_hi != other.valid_hi):
+            return False
+        width = max(self.width, other.width)
+        return (self._view(self.valid_lo, self.valid_hi, width)
+                == other._view(self.valid_lo, self.valid_hi, width))
 
     def to_json_obj(self):
         """Canonical JSON-ready form: sorted exponents, sorted monomials,
@@ -647,17 +842,15 @@ class MotiveSeries:
             "mode": self.mode.value,
             "window": [w.lo, w.hi],
             "valid": [self.valid_lo, self.valid_hi],
-            "terms": [
-                [e, [[list(m), str(c)] for m, c in self.coeffs[e].items()]]
-                for e in sorted(self.coeffs)
-            ],
+            "terms": [[e, [[list(m), str(c)] for m, c in p.items()]]
+                      for e, p in self.coeffs.items()],
         }
 
     def to_json(self):
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.packed:
             return "0"
         parts = []
         for e, p in self.items():
@@ -738,6 +931,37 @@ def geom_unit_inverse(ctx, i: int, sign: UnitSign) -> MotiveSeries:
             raise ValueError("dimensional mode inverts only units of the form L^i - 1")
         coeffs = {e: CoeffPoly.one(g) for e in range(-i, w.lo - 1, -i)}
     return MotiveSeries(ctx, coeffs)
+
+
+def _run_class(ctx, runs):
+    """The class with a one at L^e0 .. L^(e0+length-1) in the monomial of
+    each run (monomial, e0, length), the runs summed, valid on the whole
+    window.  Each run is packed as a repunit.  Support beyond the exact end
+    raises the constructor's error for the first such exponent, in the
+    order of the runs; support beyond the free end is truncated."""
+    w = ctx.window
+    adic = ctx.mode is Mode.ADIC
+    top = w.hi - w.lo  # the last slot
+    spans, count = [], {}
+    for mono, e0, length in runs:
+        e1 = e0 + length - 1
+        if adic:
+            if e0 < w.lo:
+                raise _exact_end_error(ctx, e0)
+            s0, s1 = e0 - w.lo, min(e1 - w.lo, top)
+        else:
+            if e1 > w.hi:
+                raise _exact_end_error(ctx, max(e0, w.hi + 1))
+            s0, s1 = w.hi - e1, min(w.hi - e0, top)
+        if s0 <= s1:
+            spans.append((mono, s0, s1 - s0 + 1))
+            count[mono] = count.get(mono, 0) + 1
+    bound = max(count.values(), default=0)  # runs of one monomial may overlap
+    width = _width(bound)
+    packed = {}
+    for mono, s0, length in spans:
+        packed[mono] = packed.get(mono, 0) + (_fill(1, width // 8, length) << (s0 * width))
+    return MotiveSeries._trusted(ctx, packed, width, bound, w.lo, w.hi)
 
 
 def equals(x: MotiveSeries, y) -> Comparison:

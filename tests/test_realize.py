@@ -274,11 +274,12 @@ def test_intpoly_ring_results_drop_zeros(ta, tb, tc, td, n, u, v):
     a, b, c, d = IntPoly(ta), IntPoly(tb), IntPoly2(tc), IntPoly2(td)
     for got, want in ((a + b, a(u) + b(u)), (a - b, a(u) - b(u)),
                       (a * b, a(u) * b(u)), (-a, -a(u)), (a * n, a(u) * n),
-                      (a + (-a), 0), (a ** 2, a(u) ** 2)):
+                      (n - a, n - a(u)), (a + (-a), 0), (a ** 2, a(u) ** 2)):
         assert 0 not in got.terms.values() and got(u) == want
     for got, want in ((c + d, _at2(c, u, v) + _at2(d, u, v)),
                       (c - d, _at2(c, u, v) - _at2(d, u, v)),
                       (c * d, _at2(c, u, v) * _at2(d, u, v)),
                       (-c, -_at2(c, u, v)), (n * c, n * _at2(c, u, v)),
-                      (c + (-c), 0), (c ** 2, _at2(c, u, v) ** 2)):
+                      (n - c, n - _at2(c, u, v)), (c + (-c), 0),
+                      (c ** 2, _at2(c, u, v) ** 2)):
         assert 0 not in got.terms.values() and _at2(got, u, v) == want

@@ -1,5 +1,7 @@
 """Window, validity, and ring behavior of the truncated series layer."""
 
+import operator
+
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -7,6 +9,7 @@ import hypothesis.strategies as st
 from curvemotives.polys import IntPoly, IntPoly2
 from curvemotives.series import (
     CoeffPoly,
+    Comparison,
     GenusContext,
     Mode,
     MotiveSeries,
@@ -450,3 +453,147 @@ def test_product_matches_pairwise_reference(case):
         assert got == _outcome(lambda: _mul_reference(a, b))
         if got[0] is not None:
             assert got[0].validate()
+
+
+# -- the packed kernel against the decoded CoeffPoly arithmetic -------------
+
+
+def _plus_reference(x, y, n):
+    """x + n*y summed exponent by exponent through CoeffPoly."""
+    if x.ctx != y.ctx:
+        raise ValueError("series from different contexts cannot be combined")
+    lo, hi = max(x.valid_lo, y.valid_lo), min(x.valid_hi, y.valid_hi)
+    if lo > hi:
+        raise ValueError("sum has empty validity range")
+    xc, yc, zero_ = x.coeffs, y.coeffs, CoeffPoly.zero(x.g)
+    return MotiveSeries(x.ctx, {e: xc.get(e, zero_) + yc.get(e, zero_) * n
+                                for e in set(xc) | set(yc) if lo <= e <= hi}, lo, hi)
+
+
+def _scaled_reference(x, n):
+    return MotiveSeries(x.ctx, {e: p * n for e, p in x.coeffs.items()}, x.valid_lo, x.valid_hi)
+
+
+def _shift_reference(x, e):
+    w, coeffs = x.ctx.window, x.coeffs
+    if x.mode is Mode.ADIC:
+        if coeffs and min(coeffs) + e < w.lo:
+            raise ValueError("shift pushes support below the window floor")
+        vlo, vhi = w.lo, min(w.hi, x.valid_hi + e)
+    else:
+        if coeffs and max(coeffs) + e > w.hi:
+            raise ValueError("shift pushes support above the window ceiling")
+        vlo, vhi = max(w.lo, x.valid_lo + e), w.hi
+    if vlo > vhi:
+        raise ValueError("shift leaves an empty validity range")
+    return MotiveSeries(x.ctx, {k + e: p for k, p in coeffs.items() if vlo <= k + e <= vhi},
+                        vlo, vhi)
+
+
+def _restricted_reference(x, lo, hi):
+    w = x.ctx.window
+    if x.mode is Mode.ADIC and (lo != w.lo or hi > w.hi):
+        raise ValueError("an adic window may only shrink from above")
+    if x.mode is Mode.DIMENSIONAL and (hi != w.hi or lo < w.lo):
+        raise ValueError("a dimensional window may only shrink from below")
+    ctx = GenusContext(x.g, TruncationWindow(lo, hi, x.mode))
+    return MotiveSeries(ctx, {e: p for e, p in x.coeffs.items() if lo <= e <= hi},
+                        max(x.valid_lo, lo), min(x.valid_hi, hi))
+
+
+def _equals_reference(x, y):
+    lo, hi = max(x.valid_lo, y.valid_lo), min(x.valid_hi, y.valid_hi)
+    if lo > hi:
+        raise ValueError("no shared validity range to compare on")
+    xc, yc, zero_ = x.coeffs, y.coeffs, CoeffPoly.zero(x.g)
+    for e in sorted(set(xc) | set(yc)):
+        if lo <= e <= hi and xc.get(e, zero_) != yc.get(e, zero_):
+            return Comparison(False, lo, hi, e, xc.get(e, zero_) - yc.get(e, zero_))
+    return Comparison(True, lo, hi)
+
+
+_BIG = st.integers(2 ** 70, 2 ** 95 - 1)  # up to the top of a 96-bit slot
+_COEFFICIENT = st.one_of(st.integers(-3, 3), _BIG, _BIG.map(operator.neg))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Two series on one window (its exact end not always at 0) with partial
+    validity ranges and small or huge coefficients.  The second one is new,
+    a copy of the first, or its negation, so that sums and differences
+    cancel; a copy times 1 - L^i also cancels inside the product."""
+    mode = draw(st.sampled_from([Mode.ADIC, Mode.DIMENSIONAL]))
+    g = draw(st.integers(2, 3))
+    lo = draw(st.integers(-8, 4))
+    hi = lo + draw(st.integers(0, 14))
+    ctx = GenusContext(g, TruncationWindow(lo, hi, mode))
+    mono = st.tuples(*[st.integers(0, 2)] * g)
+    coeffs = {e: CoeffPoly(g, draw(st.dictionaries(mono, _COEFFICIENT, max_size=3)))
+              for e in draw(st.lists(st.integers(lo, hi), max_size=6))}
+
+    def validity():
+        valid_lo = draw(st.integers(lo, hi))
+        return valid_lo, draw(st.integers(valid_lo, hi))
+
+    x = MotiveSeries(ctx, coeffs, *validity())
+    kind = draw(st.sampled_from(["new", "copy", "negated"]))
+    if kind == "new":
+        coeffs = {e: CoeffPoly(g, draw(st.dictionaries(mono, _COEFFICIENT, max_size=3)))
+                  for e in draw(st.lists(st.integers(lo, hi), max_size=6))}
+    elif kind == "negated":
+        coeffs = {e: -p for e, p in coeffs.items()}
+    y = MotiveSeries(ctx, coeffs, *validity())
+    return x, y, draw(st.integers(1, 5)), draw(st.integers(-4, 4)), draw(st.integers(lo, hi))
+
+
+def _same(got, want):
+    """Equal outcomes; a series result also passes validate()."""
+    assert got == want
+    if got[0] is not None:
+        assert got[0].validate()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_packed_kernel_matches_decoded_arithmetic(case):
+    # each packed operation against its oracle on the decoded coefficients:
+    # the same coefficients and validity range, or the same ValueError
+    x, y, i, e, cut = case
+    sign = UnitSign.ONE_MINUS_L_I if x.mode is Mode.ADIC else UnitSign.L_I_MINUS_ONE
+    w = x.ctx.window
+    lo, hi = (w.lo, cut) if x.mode is Mode.ADIC else (cut, w.hi)
+    for a, b in ((x, y), (y, x)):
+        _same(_outcome(lambda: a * b), _outcome(lambda: _mul_reference(a, b)))
+        _same(_outcome(lambda: a + b), _outcome(lambda: _plus_reference(a, b, 1)))
+        _same(_outcome(lambda: a - b), _outcome(lambda: _plus_reference(a, b, -1)))
+        _same(_outcome(lambda: a * e), _outcome(lambda: _scaled_reference(a, e)))
+        _same(_outcome(lambda: a.shift(e)), _outcome(lambda: _shift_reference(a, e)))
+        _same(_outcome(lambda: a.restricted(lo, hi)),
+              _outcome(lambda: _restricted_reference(a, lo, hi)))
+        _same(_outcome(lambda: a.div_unit(i)),
+              _outcome(lambda: _mul_reference(a, geom_unit_inverse(a.ctx, i, sign))))
+        assert _outcome(lambda: a.equals(b)) == _outcome(lambda: _equals_reference(a, b))
+        narrow = _outcome(lambda: a.restricted(lo, hi))[0]
+        if narrow is not None:
+            assert (_outcome(lambda: narrow.equals(b))
+                    == _outcome(lambda: _equals_reference(narrow, b)))
+
+
+def test_coefficients_past_a_slot():
+    # (2^70 L + 1)^3 = 1 + 3*2^70 L + 3*2^140 L^2 + 2^210 L^3: every slot
+    # past the first needs more than 64 bits
+    for ctx in (GenusContext.adic(2, hi=6), GenusContext.dimensional(2, lo=-3, hi=6)):
+        x = MotiveSeries(ctx, {1: 2 ** 70, 0: 1})
+        cube = x * x * x
+        assert cube == _mul_reference(_mul_reference(x, x), x)
+        assert [cube.coefficient(e) for e in range(4)] == [1, 3 * 2 ** 70, 3 * 2 ** 140, 2 ** 210]
+        assert (x ** 3 - cube).equals(zero(ctx))
+        assert cube.validate()
+        # coefficients at the top of a 96-bit slot: each result needs wider
+        # slots than its operands
+        top = 2 ** 95 - 1
+        y = MotiveSeries(ctx, {0: top, 1: top, 2: top, 3: -top})
+        sign = UnitSign.ONE_MINUS_L_I if ctx.mode is Mode.ADIC else UnitSign.L_I_MINUS_ONE
+        assert y.div_unit(1) == _mul_reference(y, geom_unit_inverse(ctx, 1, sign))
+        assert y + y == _plus_reference(y, y, 1) and y - (-y) == y + y
+        assert y * y == _mul_reference(y, y) and y * 3 == _scaled_reference(y, 3)

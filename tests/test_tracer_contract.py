@@ -17,7 +17,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 OWN_POLY_OPS = {
     IntPoly: ["__init__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__",
               "__mul__", "__rmul__", "__pow__", "divmod", "exact_div", "__eq__"],
-    IntPoly2: ["__init__", "__neg__", "__add__", "__radd__", "__sub__",
+    IntPoly2: ["__init__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__",
                "__mul__", "__rmul__", "__pow__", "diagonal", "__eq__"],
 }
 
@@ -36,9 +36,10 @@ def test_tracer_installs_and_restores_every_attribute(monkeypatch):
 
     for cls, ops in OWN_POLY_OPS.items():
         assert [op for op in tracer.POLY_OPS if op in cls.__dict__] == ops
+    pkg = workloads.load_package()  # imports every module before the snapshot
     before = _namespaces()
     trace = tracer.Tracer()
-    trace.install(workloads.load_package())
+    trace.install(pkg)
     try:
         assert CoeffPoly.__dict__["__add__"] is not before[0][CoeffPoly]["__add__"]
         assert IntPoly.__dict__["divmod"] is not before[0][IntPoly]["divmod"]
