@@ -255,11 +255,6 @@ def _count_cross_check(g, window):
 # -- registry --------------------------------------------------------------
 
 
-def _rank3_ceiling(g):
-    # the rank-3 moduli class is supported up to L^{8g-8}
-    return 8 * g - 8
-
-
 @dataclasses.dataclass(frozen=True)
 class CheckSpec:
     """``min_ceiling(g)`` is the smallest adic window ceiling at which the
@@ -310,11 +305,11 @@ CHECKS = {
         "The rank-2 fixed-determinant moduli class (bundle stack minus "
         "unstable stratum) is supported in [0, 3g-3] and equals "
         "sum_{k<=g-2} [C_k](L^k + L^{3g-3-2k}) + [C_{g-1}] L^{g-1}.",
-        "adic", _rank2, min_ceiling=lambda g: 3 * g - 2),
+        "adic", _rank2, min_ceiling=moduli.rank2_min_ceiling),
     "rank3": CheckSpec(
         "The rank-3 fixed-determinant moduli class is supported in [0, 8g-8] "
         "and equals the two-index symmetric-power template.",
-        "adic", _rank3, min_ceiling=lambda g: 8 * g - 7),
+        "adic", _rank3, min_ceiling=moduli.rank3_min_ceiling),
     "rank3-x-identity": CheckSpec(
         "The four-term exponent identity behind the collapse of the "
         "[J]-linear part holds in Z[x] for every 0 <= k <= g-2.",
@@ -328,25 +323,25 @@ CHECKS = {
         "The composition-indexed inversion sum for (rank, degree) = (2,1) "
         "and (3,1) has integral exponents and equals exactly one of the "
         "fixed-determinant moduli class or the Jacobian times it.",
-        "adic", _inversion, min_ceiling=_rank3_ceiling),
+        "adic", _inversion, min_ceiling=moduli.rank3_min_ceiling),
     "behrend-dhillon": CheckSpec(
         "The dimensional bundle-stack class L^{(r^2-1)(g-1)} "
         "prod_{i=2..r} Z(C, L^{-i}) has top coefficient 1 at its dimension, "
         "and the moduli classes built from it agree with the adic ones "
         "coefficient by coefficient.",
-        "dimensional", _behrend_dhillon, min_ceiling=_rank3_ceiling),
+        "dimensional", _behrend_dhillon, min_ceiling=moduli.rank3_min_ceiling),
     "var-rank2": CheckSpec(
         "Dimensional rank-2 pipeline: stack minus stratumwise unstable sum "
         "equals the decomposition template and matches the adic class; the "
         "variant stack reading with an extra L^3 prefactor does not close "
         "and is flagged.",
-        "dimensional", _var_rank2),
+        "dimensional", _var_rank2, min_ceiling=moduli.rank2_min_ceiling),
     "var-rank3": CheckSpec(
         "Dimensional rank-3 pipeline: stack minus Harder-Narasimhan "
         "corrections equals the decomposition template and matches the adic "
         "class.",
         "dimensional", lambda g, w: (moduli.var_rank3_check(_dim(g, w), _adic(g, w)), []),
-        min_ceiling=lambda g: 1),
+        min_ceiling=moduli.rank3_min_ceiling),
     "unstable-rank2-hn-sum": CheckSpec(
         "The stratumwise unstable rank-2 sum (degree-d stratum "
         "[J] L^{g-2d}/(L-1)) equals its closed form [J] L^g/((L-1)(L^2-1)); "
@@ -361,7 +356,7 @@ CHECKS = {
         "The Hodge realization at u = v = t reproduces the Poincare "
         "realization on the rank-2 and rank-3 moduli classes, the Jacobian, "
         "and the symmetric powers up to 2g.",
-        "adic", _realize_hodge, min_ceiling=_rank3_ceiling),
+        "adic", _realize_hodge, min_ceiling=moduli.rank3_min_ceiling),
     "count-cross-check": CheckSpec(
         "For the genus-2 curve y^2 = x^5 - x over F_3 (points counted by "
         "brute force at run time), the counting realization of each "

@@ -38,10 +38,12 @@ __all__ = [
     "bun_chi",
     "unstable_rank2_chi",
     "m2_chi",
+    "rank2_min_ceiling",
     "rank2_template_blocks",
     "rank2_decomposition",
     "unstable_rank3_chi",
     "m3_chi",
+    "rank3_min_ceiling",
     "rank3_index_pairs",
     "rank3_template_blocks",
     "rank3_decomposition",
@@ -102,11 +104,32 @@ def unstable_rank2_chi(ctx) -> MotiveSeries:
     return jacobian_class(ctx).div_unit(1).div_unit(2).shift(g)
 
 
+def _require_ceiling(ctx, need):
+    """Refuse an adic window whose ceiling is below ``need``, one past the
+    support bound of a moduli class: its vanishing check would see nothing."""
+    _require_adic(ctx)
+    if ctx.window.hi < need:
+        raise ValueError("window ceiling %d does not pass the support bound %d "
+                         "(needs >= %d)" % (ctx.window.hi, need - 1, need))
+
+
+def rank2_min_ceiling(g):
+    """The lowest adic window ceiling m2_chi accepts: 3g-2."""
+    return 3 * g - 2
+
+
+def rank3_min_ceiling(g):
+    """The lowest adic window ceiling m3_chi accepts: 8g-7."""
+    return 8 * g - 7
+
+
 def m2_chi(ctx) -> MotiveSeries:
     """Rank-2 fixed-determinant moduli class: stack minus unstable stratum.
 
     The result is a polynomial supported in [0, 3g-3]; that vanishing is
-    re-verified here on the whole window before returning."""
+    re-verified here on the whole window, whose ceiling must pass 3g-3,
+    before returning."""
+    _require_ceiling(ctx, rank2_min_ceiling(ctx.g))
     out = bun_chi(ctx, 2) - unstable_rank2_chi(ctx)
     bad = out.vanishes_above(3 * ctx.g - 3)
     if bad is not None:
@@ -182,7 +205,9 @@ def unstable_rank3_chi(ctx) -> MotiveSeries:
 
 
 def m3_chi(ctx) -> MotiveSeries:
-    """Rank-3 fixed-determinant moduli class; a polynomial in [0, 8g-8]."""
+    """Rank-3 fixed-determinant moduli class; a polynomial in [0, 8g-8],
+    re-verified on a window whose ceiling must pass 8g-8."""
+    _require_ceiling(ctx, rank3_min_ceiling(ctx.g))
     out = bun_chi(ctx, 3) - unstable_rank3_chi(ctx)
     bad = out.vanishes_above(8 * ctx.g - 8)
     if bad is not None:

@@ -17,19 +17,19 @@ class in degree g+d equals the class in degree g-d times L^d.  Arithmetic
 therefore happens entirely in the canonical basis l1..lg, which is closed
 under all ring operations.
 
-Every series carries a validity range [valid_lo, valid_hi]: the exponents on
-which its stored coefficients are exactly those of the represented class.  In
-ADIC mode valid_lo is pinned to the window floor; in DIMENSIONAL mode
-valid_hi is pinned to the ceiling.  Multiplication shrinks the free end of
-the range using the true-support bound of the other factor, so equality
-verdicts (which compare on the overlap of validity ranges) are always sound.
+A window [lo, hi] is read in slots from its exact end: slot s is L^(lo+s)
+in ADIC mode and L^(hi-s) in DIMENSIONAL mode (``TruncationWindow.slot``),
+so the two modes share every rule below.  A series is exact on the slots
+0 .. far, one number: the exact end is always pinned, and ``valid_lo`` and
+``valid_hi`` are derived from it.  A product, a shift and a division by a
+unit move ``far`` in from the free end using the lowest occupied slot of
+the other factor, so equality verdicts (which compare on the overlap of
+validity ranges) are always sound.
 
 A series is stored Kronecker-packed, one Python int per lambda-monomial.
-The int holds that monomial's Laurent polynomial in L in slots of W bits:
-slot s holds the coefficient of the exponent s steps in from the window's
-exact end, L^(lo+s) in ADIC mode and L^(hi-s) in DIMENSIONAL mode, and the
-slots cover the validity range only.  Digits are balanced: a slot holds a
-signed coefficient c with |c| < 2^(W-1), and the int is the plain sum of
+The int holds that monomial's Laurent polynomial in L in slots of W bits,
+slots 0 .. far only.  Digits are balanced: a slot holds a signed
+coefficient c with |c| < 2^(W-1), and the int is the plain sum of
 c * 2^(sW), so a negative coefficient borrows one from the slot above.
 Then a product is one big-int product per pair of monomials, a sum one int
 sum per monomial, shift a bit shift, the cut to a validity range a mask
@@ -105,6 +105,15 @@ class TruncationWindow:
 
     def contains(self, e: int) -> bool:
         return self.lo <= e <= self.hi
+
+    def slot(self, e: int) -> int:
+        """How far L^e lies in from the exact end: the floor (adic) or the
+        ceiling (dimensional).  Negative beyond it."""
+        return e - self.lo if self.mode is Mode.ADIC else self.hi - e
+
+    def exponent(self, s: int) -> int:
+        """The exponent of slot s; the inverse of ``slot``."""
+        return self.lo + s if self.mode is Mode.ADIC else self.hi - s
 
 
 @dataclass(frozen=True)
@@ -216,12 +225,20 @@ def _drop(v, bits):
     return (v >> bits) + ((v >> (bits - 1)) & 1) if bits else v
 
 
+# The texts of the errors for support pushed past the exact end, per mode.
+_PAST_EXACT_END = {
+    Mode.ADIC: {"support": "support at L^%d below the adic window floor %d",
+                "product": "product support would start below the window floor",
+                "shift": "shift pushes support below the window floor"},
+    Mode.DIMENSIONAL: {"support": "support at L^%d above the dimensional ceiling %d",
+                       "product": "product support would pass the window ceiling",
+                       "shift": "shift pushes support above the window ceiling"},
+}
+
+
 def _exact_end_error(ctx, e):
-    """The error for support at L^e beyond the hard end of the window."""
-    w = ctx.window
-    if ctx.mode is Mode.ADIC:
-        return ValueError("support at L^%d below the adic window floor %d" % (e, w.lo))
-    return ValueError("support at L^%d above the dimensional ceiling %d" % (e, w.hi))
+    """The error for support at L^e beyond the exact end of the window."""
+    return ValueError(_PAST_EXACT_END[ctx.mode]["support"] % (e, ctx.window.exponent(0)))
 
 
 def _mono_str(mono):
@@ -391,37 +408,30 @@ class MotiveSeries:
 
     ``packed`` maps a canonical lambda-monomial to a nonzero int that holds
     the monomial's Laurent polynomial in L in balanced digits of ``width``
-    bits, on the slots of the validity range (see the module docstring);
-    every coefficient is at most ``bound`` in absolute value, and
-    ``width`` is the width of that bound; ``shape`` caches the occupied
+    bits, on the slots 0 .. ``far`` of the validity range (see the module
+    docstring); every coefficient is at most ``bound`` in absolute value,
+    and ``width`` is the width of that bound; ``shape`` caches the occupied
     slots (see ``_shape``).  ``coeffs`` is the decoded view
-    {exponent: CoeffPoly}.  Constructing with support on the exact side of
+    {exponent: CoeffPoly}.  Constructing with support past the exact end of
     the window (below the floor in ADIC mode, above the ceiling in
-    DIMENSIONAL mode) is an error -- that side is a hard support bound, not
-    a truncation -- while support beyond the truncated side is discarded,
-    which is what truncation means.
+    DIMENSIONAL mode) is an error -- that end is a hard support bound, not
+    a truncation -- while support beyond the free end is discarded, which
+    is what truncation means.  Of ``valid_lo`` and ``valid_hi`` only the
+    free end is read; the exact end is pinned.
 
     As with CoeffPoly, only the public constructor validates; the ring
     operations build their results through ``_trusted``.
     """
 
-    __slots__ = ("ctx", "packed", "width", "bound", "valid_lo", "valid_hi", "shape")
+    __slots__ = ("ctx", "packed", "width", "bound", "far", "shape")
 
     def __init__(self, ctx, coeffs=None, valid_lo=None, valid_hi=None):
         w = ctx.window
-        if valid_lo is None:
-            valid_lo = w.lo
-        if valid_hi is None:
-            valid_hi = w.hi
-        valid_lo = max(valid_lo, w.lo)
-        valid_hi = min(valid_hi, w.hi)
-        adic = ctx.mode is Mode.ADIC
-        if adic:
-            valid_lo = w.lo
-        else:
-            valid_hi = w.hi
-        if valid_lo > valid_hi:
+        free, top = (valid_hi if ctx.mode is Mode.ADIC else valid_lo), w.hi - w.lo
+        far = top if free is None else min(w.slot(free), top)
+        if far < 0:
             raise ValueError("series with empty validity range")
+        o, d = w.slot(0), w.slot(1) - w.slot(0)  # slot(e) = o + d e
         rows, bound = {}, 0  # rows: {monomial: {slot: coefficient}}
         if coeffs:
             for e, p in coeffs.items():
@@ -431,43 +441,27 @@ class MotiveSeries:
                     raise ValueError("coefficient over g=%d in a g=%d context" % (p.g, ctx.g))
                 if not p:
                     continue
-                if adic:
-                    if e < w.lo:
-                        raise _exact_end_error(ctx, e)
-                    if e > valid_hi:
-                        continue
-                else:
-                    if e > w.hi:
-                        raise _exact_end_error(ctx, e)
-                    if e < valid_lo:
-                        continue
-                s = e - w.lo if adic else w.hi - e
+                s = o + d * e
+                if s < 0:
+                    raise _exact_end_error(ctx, e)
+                if s > far:
+                    continue
                 for mono, c in p.terms.items():
                     rows.setdefault(mono, {})[s] = c
                     bound = max(bound, abs(c))
         width = _width(bound)
         packed = {mono: _pack(row, width) for mono, row in rows.items()}
-        self.ctx = ctx
-        self.packed = packed
-        self.width = width
-        self.bound = bound
-        self.valid_lo = valid_lo
-        self.valid_hi = valid_hi
+        self.ctx, self.packed, self.width, self.bound, self.far = ctx, packed, width, bound, far
         self.shape = None
 
     @classmethod
-    def _trusted(cls, ctx, packed, width, bound, valid_lo, valid_hi):
+    def _trusted(cls, ctx, packed, width, bound, far):
         """Wrap ``packed`` as is: nonzero ints whose balanced ``width``-bit
         digits are at most ``bound`` in absolute value, ``width`` the width
-        of ``bound``, on the slots of [valid_lo, valid_hi], a range the
-        window mode allows.  The dict is taken over, not copied."""
+        of ``bound``, on the slots 0 .. far of the window.  The dict is
+        taken over, not copied."""
         self = object.__new__(cls)
-        self.ctx = ctx
-        self.packed = packed
-        self.width = width
-        self.bound = bound
-        self.valid_lo = valid_lo
-        self.valid_hi = valid_hi
+        self.ctx, self.packed, self.width, self.bound, self.far = ctx, packed, width, bound, far
         self.shape = None
         return self
 
@@ -480,6 +474,18 @@ class MotiveSeries:
     @property
     def mode(self):
         return self.ctx.mode
+
+    @property
+    def valid_lo(self):
+        """The lowest exponent of the validity range."""
+        w = self.ctx.window
+        return min(w.exponent(0), w.exponent(self.far))
+
+    @property
+    def valid_hi(self):
+        """The highest exponent of the validity range."""
+        w = self.ctx.window
+        return max(w.exponent(0), w.exponent(self.far))
 
     def _require_same_ctx(self, other):
         if self.ctx != other.ctx:
@@ -496,33 +502,18 @@ class MotiveSeries:
             self.shape = (min(lows), max(tops), sum(tops) - sum(lows) + len(tops))
         return self.shape
 
-    def _support_floor(self):
-        # ADIC: exact lower bound of the true support.  A series that is zero
-        # on its whole validity range can hide support only above it.
-        if not self.packed:
-            return self.valid_hi + 1
-        low, top, _ = self._shape()
-        if self.mode is Mode.ADIC:
-            return self.ctx.window.lo + low
-        return self.ctx.window.hi - top
+    def _near(self):
+        """The lowest occupied slot, or far + 1 for a zero series: one that
+        is zero on its validity range can hide support only past it."""
+        return self._shape()[0] if self.packed else self.far + 1
 
-    def _support_ceiling(self):
-        if not self.packed:
-            return self.valid_lo - 1
-        low, top, _ = self._shape()
-        if self.mode is Mode.ADIC:
-            return self.ctx.window.lo + top
-        return self.ctx.window.hi - low
-
-    def _view(self, lo, hi, width):
-        """The packed terms on [lo, hi], a range inside the validity range,
-        with slot 0 at its exact end and ``width`` >= self.width bits per
-        slot.  May be ``self.packed`` itself: never change it."""
-        w, own = self.ctx.window, self.width
-        skip = lo - w.lo if self.mode is Mode.ADIC else w.hi - hi
-        n = hi - lo + 1
+    def _view(self, n, width, skip=0):
+        """The packed terms on the n slots from ``skip`` on, inside the
+        validity range, moved down to slot 0, at ``width`` >= self.width
+        bits per slot.  May be ``self.packed`` itself: never change it."""
+        own = self.width
         out = self.packed
-        if skip or n < self.valid_hi - self.valid_lo + 1:
+        if skip or n <= self.far:
             low, bits = skip * own, n * own
             out = {}
             for m, v in self.packed.items():
@@ -531,18 +522,11 @@ class MotiveSeries:
                     out[m] = v
         return _repack(out, own, width, n) if width != own else out
 
-    def _stripped(self, low, width):
-        """The packed terms at ``width`` bits per slot, with the ``low``
-        empty slots at the exact end shifted out."""
-        view = self._view(self.valid_lo, self.valid_hi, width)
-        bits = low * width
-        return {m: v >> bits for m, v in view.items()} if bits else view
-
     def _lpolys(self):
         """[(monomial, [(exponent, coefficient), ..]), ..]: the Laurent
         polynomial of each monomial, nonzero coefficients only."""
         w, width = self.ctx.window, self.width
-        base, step = (w.lo, 1) if self.mode is Mode.ADIC else (w.hi, -1)
+        base, step = w.exponent(0), w.exponent(1) - w.exponent(0)
         out = []
         for mono, v in self.packed.items():
             digits = _digits(v, width, abs(v).bit_length() // width + 1)
@@ -593,12 +577,8 @@ class MotiveSeries:
     def validate(self):
         """Assert the representation invariants; used by property tests."""
         w = self.ctx.window
-        assert w.lo <= self.valid_lo <= self.valid_hi <= w.hi
-        if self.mode is Mode.ADIC:
-            assert self.valid_lo == w.lo
-        else:
-            assert self.valid_hi == w.hi
-        width, n = self.width, self.valid_hi - self.valid_lo + 1
+        assert type(self.far) is int and 0 <= self.far <= w.hi - w.lo
+        width, n = self.width, self.far + 1
         assert width == _width(self.bound)
         for mono, v in self.packed.items():
             assert type(mono) is tuple and len(mono) == self.g
@@ -611,6 +591,11 @@ class MotiveSeries:
         return True
 
     # -- ring operations ---------------------------------------------------
+    #
+    # Every rule below is stated in slots, once for both modes.  The product
+    # of slots s1 and s2 lies in slot s1 + s2 + base, with base = -slot(0);
+    # a result is exact up to the slot where the first factor's unknown tail
+    # can meet the second factor's lowest occupied slot, and vice versa.
 
     def _plus(self, other, n):
         """self + n * other on the overlap of the validity ranges."""
@@ -619,14 +604,11 @@ class MotiveSeries:
         if not isinstance(other, MotiveSeries):
             return NotImplemented
         self._require_same_ctx(other)
-        vlo = max(self.valid_lo, other.valid_lo)
-        vhi = min(self.valid_hi, other.valid_hi)
-        if vlo > vhi:
-            raise ValueError("sum has empty validity range")
+        far = min(self.far, other.far)
         bound = self.bound + abs(n) * other.bound
         width = _width(bound)
-        acc = add_into(dict(self._view(vlo, vhi, width)), other._view(vlo, vhi, width), n)
-        return MotiveSeries._trusted(self.ctx, acc, width, bound, vlo, vhi)
+        acc = add_into(dict(self._view(far + 1, width)), other._view(far + 1, width), n)
+        return MotiveSeries._trusted(self.ctx, acc, width, bound, far)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -635,7 +617,7 @@ class MotiveSeries:
 
     def __neg__(self):
         return MotiveSeries._trusted(self.ctx, {m: -v for m, v in self.packed.items()},
-                                     self.width, self.bound, self.valid_lo, self.valid_hi)
+                                     self.width, self.bound, self.far)
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -649,28 +631,18 @@ class MotiveSeries:
             width = _width(bound)
             packed = {}
             if other:
-                view = self._view(self.valid_lo, self.valid_hi, width)
-                packed = {m: v * other for m, v in view.items()}
-            return MotiveSeries._trusted(self.ctx, packed, width, bound,
-                                         self.valid_lo, self.valid_hi)
+                packed = {m: v * other for m, v in self._view(self.far + 1, width).items()}
+            return MotiveSeries._trusted(self.ctx, packed, width, bound, self.far)
         if not isinstance(other, MotiveSeries):
             return NotImplemented
         self._require_same_ctx(other)
         w = self.ctx.window
-        adic = self.mode is Mode.ADIC
-        if adic:
-            fx, fy = self._support_floor(), other._support_floor()
-            if self.packed and other.packed and fx + fy < w.lo:
-                raise ValueError("product support would start below the window floor")
-            vlo = w.lo
-            vhi = min(w.hi, self.valid_hi + fy, other.valid_hi + fx)
-        else:
-            cx, cy = self._support_ceiling(), other._support_ceiling()
-            if self.packed and other.packed and cx + cy > w.hi:
-                raise ValueError("product support would pass the window ceiling")
-            vlo = max(w.lo, self.valid_lo + cy, other.valid_lo + cx)
-            vhi = w.hi
-        if vlo > vhi:
+        base = -w.slot(0)
+        nx, ny = self._near(), other._near()
+        if self.packed and other.packed and nx + ny + base < 0:
+            raise ValueError(_PAST_EXACT_END[self.mode]["product"])
+        far = min(w.hi - w.lo, self.far + ny + base, other.far + nx + base)
+        if far < 0:
             raise ValueError("product has empty validity range (window too narrow)")
         packed, bound = {}, 0
         if self.packed and other.packed:
@@ -680,19 +652,17 @@ class MotiveSeries:
         if bound:
             # the empty slots at each factor's exact end are shifted out
             # first; slot s1 + s2 of a raw product is then slot
-            # s1 + s2 + lx + ly + lo (adic) or s1 + s2 + lx + ly - hi
-            # (dimensional) of the window, and the support checks above
-            # leave the slots a right shift drops empty
-            packed = mul_into({}, self._stripped(lx, width), other._stripped(ly, width),
-                              _mono_mul)
-            base = w.lo if adic else -w.hi
+            # s1 + s2 + lx + ly + base, and the support check above leaves
+            # the slots a right shift drops empty
+            packed = mul_into({}, self._view(self.far + 1 - lx, width, lx),
+                              other._view(other.far + 1 - ly, width, ly), _mono_mul)
             off = (lx + ly + base) * width
             if off:
                 packed = {m: v << off if off > 0 else v >> -off for m, v in packed.items()}
-            if hx + hy + base > vhi - vlo:  # some product passes the last slot
-                bits = (vhi - vlo + 1) * width
+            if hx + hy + base > far:  # some product passes the last slot
+                bits = (far + 1) * width
                 packed = {m: c for m, c in ((m, _cut(v, bits)) for m, v in packed.items()) if c}
-        return MotiveSeries._trusted(self.ctx, packed, width, bound, vlo, vhi)
+        return MotiveSeries._trusted(self.ctx, packed, width, bound, far)
 
     __rmul__ = __mul__
 
@@ -707,30 +677,20 @@ class MotiveSeries:
     def shift(self, e):
         """Multiply by L^e: shift all exponents and the validity range."""
         w = self.ctx.window
-        if self.mode is Mode.ADIC:
-            if self.packed and self._support_floor() + e < w.lo:
-                raise ValueError("shift pushes support below the window floor")
-            vlo = w.lo
-            vhi = min(w.hi, self.valid_hi + e)
-            if vhi < vlo:
-                raise ValueError("shift leaves an empty validity range")
-            up = e * self.width  # bits toward the free end
-        else:
-            if self.packed and self._support_ceiling() + e > w.hi:
-                raise ValueError("shift pushes support above the window ceiling")
-            vlo = max(w.lo, self.valid_lo + e)
-            vhi = w.hi
-            if vlo > vhi:
-                raise ValueError("shift leaves an empty validity range")
-            up = -e * self.width
-        bits = (vhi - vlo + 1) * self.width
+        d = w.slot(e) - w.slot(0)  # slots toward the free end
+        if self.packed and self._near() + d < 0:
+            raise ValueError(_PAST_EXACT_END[self.mode]["shift"])
+        far = min(w.hi - w.lo, self.far + d)
+        if far < 0:
+            raise ValueError("shift leaves an empty validity range")
+        up, bits = d * self.width, (far + 1) * self.width
         packed = {}
         for m, v in self.packed.items():
-            # a right shift drops only empty slots: the checks above
+            # a right shift drops only empty slots: the check above
             v = _cut(v << up, bits) if up >= 0 else v >> -up
             if v:
                 packed[m] = v
-        return MotiveSeries._trusted(self.ctx, packed, self.width, self.bound, vlo, vhi)
+        return MotiveSeries._trusted(self.ctx, packed, self.width, self.bound, far)
 
     def div_unit(self, i):
         """Divide by 1 - L^i (adic) or L^i - 1 (dimensional).
@@ -744,38 +704,31 @@ class MotiveSeries:
         if i < 1:
             raise ValueError("unit exponent must be positive, got i=%d" % i)
         w = self.ctx.window
-        # The ranges below are those of the product with the inverse, whose
-        # support is 0, i, 2i, .. (adic) or -i, -2i, .. (dimensional) and
-        # whose validity range is the whole window.
-        adic = self.mode is Mode.ADIC
-        if adic:
-            if w.lo > 0:
-                raise _exact_end_error(self.ctx, 0)
-            fx = self._support_floor()
-            fy = 0 if w.hi >= 0 else w.hi + 1
-            vlo, vhi = w.lo, min(w.hi, self.valid_hi + fy, w.hi + fx)
-        else:
-            if -i > w.hi:
-                raise _exact_end_error(self.ctx, -i)
-            cx = self._support_ceiling()
-            cy = -i if -i >= w.lo else w.lo - 1
-            vlo, vhi = max(w.lo, self.valid_lo + cy, w.lo + cx), w.hi
-        if vlo > vhi:
+        # The rules are those of the product with the inverse, which is
+        # valid on the whole window and supported on the slots first,
+        # first + i, .., from its first exponent: 0 (adic) or -i.
+        e0 = 0 if self.mode is Mode.ADIC else -i
+        first, top, base = w.slot(e0), w.hi - w.lo, -w.slot(0)
+        if first < 0:
+            raise _exact_end_error(self.ctx, e0)
+        ny = min(first, top + 1)  # the inverse is zero on a window short of first
+        far = min(top, self.far + ny + base, top + self._near() + base)
+        if far < 0:
             raise ValueError("product has empty validity range (window too narrow)")
-        n = vhi - vlo + 1
+        n = far + 1
         terms = -(-n // i)  # each output coefficient sums at most this many
         bound = self.bound * terms
         width = _width(bound)
         step = i * width
-        unit, span, head = (1 << step) - 1, terms * step, 0 if adic else step
+        unit, span, head = (1 << step) - 1, terms * step, (first + base) * width
         bits = n * width
         packed = {}
-        for m, v in self._view(self.valid_lo, self.valid_hi, width).items():
+        for m, v in self._view(self.far + 1, width).items():
             v <<= head
             v = _cut(((v << span) - v) // unit, bits)
             if v:
                 packed[m] = v
-        return MotiveSeries._trusted(self.ctx, packed, width, bound, vlo, vhi)
+        return MotiveSeries._trusted(self.ctx, packed, width, bound, far)
 
     def restricted(self, lo=None, hi=None):
         """Re-truncate to a narrower window.  Only the truncated side may move."""
@@ -789,12 +742,10 @@ class MotiveSeries:
             if hi != w.hi or lo < w.lo:
                 raise ValueError("a dimensional window may only shrink from below")
         ctx2 = GenusContext(self.g, TruncationWindow(lo, hi, self.mode))
-        vlo, vhi = max(self.valid_lo, lo), min(self.valid_hi, hi)
-        if vlo > vhi:
-            raise ValueError("series with empty validity range")
         # the exact end stays where it was, and with it every slot
-        return MotiveSeries._trusted(ctx2, self._view(vlo, vhi, self.width), self.width,
-                                     self.bound, vlo, vhi)
+        far = min(self.far, hi - lo)
+        return MotiveSeries._trusted(ctx2, self._view(far + 1, self.width), self.width,
+                                     self.bound, far)
 
     # -- comparison and serialization -------------------------------------
 
@@ -813,8 +764,11 @@ class MotiveSeries:
         hi = min(self.valid_hi, other.valid_hi)
         if lo > hi:
             raise ValueError("no shared validity range to compare on")
-        width = _width(self.bound + other.bound)
-        diff = add_into(dict(self._view(lo, hi, width)), other._view(lo, hi, width), -1)
+        # slot 0 of each view is the end of [lo, hi] nearest the exact end
+        width, n = _width(self.bound + other.bound), hi - lo + 1
+        mine, theirs = (x._view(n, width, min(x.ctx.window.slot(lo), x.ctx.window.slot(hi)))
+                        for x in (self, other))
+        diff = add_into(dict(mine), theirs, -1)
         if not diff:
             return Comparison(True, lo, hi)
         if self.mode is Mode.ADIC:
@@ -826,12 +780,10 @@ class MotiveSeries:
     def __eq__(self, other):
         if not isinstance(other, MotiveSeries):
             return NotImplemented
-        if (self.ctx != other.ctx or self.valid_lo != other.valid_lo
-                or self.valid_hi != other.valid_hi):
+        if self.ctx != other.ctx or self.far != other.far:
             return False
-        width = max(self.width, other.width)
-        return (self._view(self.valid_lo, self.valid_hi, width)
-                == other._view(self.valid_lo, self.valid_hi, width))
+        width, n = max(self.width, other.width), self.far + 1
+        return self._view(n, width) == other._view(n, width)
 
     def to_json_obj(self):
         """Canonical JSON-ready form: sorted exponents, sorted monomials,
@@ -937,22 +889,20 @@ def _run_class(ctx, runs):
     """The class with a one at L^e0 .. L^(e0+length-1) in the monomial of
     each run (monomial, e0, length), the runs summed, valid on the whole
     window.  Each run is packed as a repunit.  Support beyond the exact end
-    raises the constructor's error for the first such exponent, in the
-    order of the runs; support beyond the free end is truncated."""
+    raises the constructor's error for the run's lowest such exponent, in
+    the order of the runs; support beyond the free end is truncated."""
     w = ctx.window
-    adic = ctx.mode is Mode.ADIC
     top = w.hi - w.lo  # the last slot
+    o, d = w.slot(0), w.slot(1) - w.slot(0)  # slot(e) = o + d e
+    back = d < 0  # slots run against the exponents: a run's last one is nearest
     spans, count = [], {}
     for mono, e0, length in runs:
-        e1 = e0 + length - 1
-        if adic:
-            if e0 < w.lo:
-                raise _exact_end_error(ctx, e0)
-            s0, s1 = e0 - w.lo, min(e1 - w.lo, top)
-        else:
-            if e1 > w.hi:
-                raise _exact_end_error(ctx, max(e0, w.hi + 1))
-            s0, s1 = w.hi - e1, min(w.hi - e0, top)
+        s0 = o + d * e0 - back * (length - 1)
+        s1 = s0 + length - 1
+        if s0 < 0:
+            raise _exact_end_error(ctx, w.exponent(min(w.slot(e0), -1)))
+        if s1 > top:
+            s1 = top
         if s0 <= s1:
             spans.append((mono, s0, s1 - s0 + 1))
             count[mono] = count.get(mono, 0) + 1
@@ -961,7 +911,7 @@ def _run_class(ctx, runs):
     packed = {}
     for mono, s0, length in spans:
         packed[mono] = packed.get(mono, 0) + (_fill(1, width // 8, length) << (s0 * width))
-    return MotiveSeries._trusted(ctx, packed, width, bound, w.lo, w.hi)
+    return MotiveSeries._trusted(ctx, packed, width, bound, top)
 
 
 def equals(x: MotiveSeries, y) -> Comparison:

@@ -281,19 +281,21 @@ def test_cli_verify_usage_errors(capsys):
 
 
 # the smallest window ceiling at which each check is sound; below it the
-# check would report a false fail (or, for rank2 and rank3, claim a support
-# bound it never saw), so verify must refuse the window
+# check would report a false fail (or, for the checks that build the rank-2
+# or rank-3 moduli class, claim a support bound it never saw), so verify
+# must refuse the window
 WINDOW_CEILINGS = {
     "zeta-rationality": lambda g: 4 * g,
     "rank2": lambda g: 3 * g - 2,
+    "var-rank2": lambda g: 3 * g - 2,
     "rank3": lambda g: 8 * g - 7,
     "j-squared-cancellation": lambda g: 4 * g - 4,
-    "inversion-consistency": lambda g: 8 * g - 8,
-    "behrend-dhillon": lambda g: 8 * g - 8,
-    "var-rank3": lambda g: 1,
+    "inversion-consistency": lambda g: 8 * g - 7,
+    "behrend-dhillon": lambda g: 8 * g - 7,
+    "var-rank3": lambda g: 8 * g - 7,
     "unstable-rank2-hn-sum": lambda g: 1,
     "realize-poincare-rank2": lambda g: 3 * g - 3,
-    "realize-hodge-consistency": lambda g: 8 * g - 8,
+    "realize-hodge-consistency": lambda g: 8 * g - 7,
     "count-cross-check": lambda g: 6,
 }
 

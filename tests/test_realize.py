@@ -133,6 +133,21 @@ def test_poincare_of_moduli_matches_newstead():
         assert realize(m2_chi(ctx), POINCARE) == newstead_oracle(g)
 
 
+def test_moduli_classes_need_a_ceiling_past_their_support():
+    # at g = 3 on [0, 4], m2_chi was valid only up to L^4: its vanishing
+    # check above 3g-3 = 6 saw nothing, and the realization silently lost
+    # the x^10 + x^12 of the classes at L^5 and L^6
+    with pytest.raises(ValueError, match=r"window ceiling 4 does not pass the "
+                       r"support bound 6 \(needs >= 7\)"):
+        realize(m2_chi(GenusContext.adic(3, hi=4)), POINCARE)
+    for g in (2, 3):
+        for build, need in ((m2_chi, 3 * g - 2), (m3_chi, 8 * g - 7)):
+            with pytest.raises(ValueError, match="does not pass the support bound"):
+                build(GenusContext.adic(g, hi=need - 1))
+            assert max(build(GenusContext.adic(g, hi=need)).coeffs) == need - 1
+    assert realize(m2_chi(GenusContext.adic(3, hi=7)), POINCARE) == newstead_oracle(3)
+
+
 def test_hodge_diagonal_reproduces_poincare():
     ctx = GenusContext.adic(3)
     for cls in (m2_chi(ctx), m3_chi(ctx), jacobian_class(ctx)):

@@ -164,6 +164,15 @@ def test_equals_reports_window_and_witness():
     assert cmp.witness_delta == CoeffPoly.constant(2, -1)
     cmp2 = inv.restricted(0, 5).equals(other)
     assert cmp2 and (cmp2.lo, cmp2.hi) == (0, 5)
+    # windows with different exact ends compare on their overlap
+    for near, far in ((GenusContext.adic(2, hi=12), GenusContext.adic(2, hi=12, lo=-3)),
+                      (GenusContext.dimensional(2, lo=-12, hi=3),
+                       GenusContext.dimensional(2, lo=-12, hi=6))):
+        x = MotiveSeries(near, {0: 1, 2: 5})
+        cmp3 = MotiveSeries(far, {0: 1, 2: 5, 3: -2}).equals(x)
+        assert (cmp3.equal, cmp3.witness_exponent, cmp3.witness_delta) == (False, 3, -2)
+        assert (cmp3.lo, cmp3.hi) == (x.valid_lo, x.valid_hi)
+        assert MotiveSeries(far, {0: 1, 2: 5}).equals(x)
 
 
 def test_equals_empty_overlap_is_an_error():
@@ -380,16 +389,20 @@ def test_series_ring_results_validate(case):
 
 def _mul_reference(x, y):
     """x * y summed pair by pair through CoeffPoly products and sums, built
-    through the validating constructor."""
+    through the validating constructor.  The support ends come from the
+    decoded coefficients: a zero series can hide support only past its
+    validity range."""
     w = x.ctx.window
+    floor = lambda c: min(c.coeffs, default=c.valid_hi + 1)
+    ceiling = lambda c: max(c.coeffs, default=c.valid_lo - 1)
     if x.mode is Mode.ADIC:
-        fx, fy = x._support_floor(), y._support_floor()
+        fx, fy = floor(x), floor(y)
         if x.coeffs and y.coeffs and fx + fy < w.lo:
             raise ValueError("product support would start below the window floor")
         vlo = w.lo
         vhi = min(w.hi, x.valid_hi + fy, y.valid_hi + fx)
     else:
-        cx, cy = x._support_ceiling(), y._support_ceiling()
+        cx, cy = ceiling(x), ceiling(y)
         if x.coeffs and y.coeffs and cx + cy > w.hi:
             raise ValueError("product support would pass the window ceiling")
         vlo = max(w.lo, x.valid_lo + cy, y.valid_lo + cx)
@@ -577,6 +590,54 @@ def test_packed_kernel_matches_decoded_arithmetic(case):
         if narrow is not None:
             assert (_outcome(lambda: narrow.equals(b))
                     == _outcome(lambda: _equals_reference(narrow, b)))
+
+
+# -- the two modes are mirror images under L -> L^-1 ------------------------
+
+
+def _mirror(x):
+    """The image of x under L -> L^-1: the other mode on the negated window,
+    with its exponents and validity range negated."""
+    w = x.ctx.window
+    mode = Mode.DIMENSIONAL if x.mode is Mode.ADIC else Mode.ADIC
+    ctx = GenusContext(x.g, TruncationWindow(-w.hi, -w.lo, mode))
+    return MotiveSeries(ctx, {-e: p for e, p in x.coeffs.items()}, -x.valid_hi, -x.valid_lo)
+
+
+@st.composite
+def _adic_pairs(draw):
+    """Two adic series on a window [lo, hi] with lo in [-8, 2], partial
+    validity ranges and small or huge coefficients; a scale and a shift."""
+    g = draw(st.integers(2, 3))
+    lo = draw(st.integers(-8, 2))
+    hi = lo + draw(st.integers(0, 12))
+    ctx = GenusContext.adic(g, hi=hi, lo=lo)
+    coeff = st.dictionaries(st.tuples(*[st.integers(0, 2)] * g), _COEFFICIENT,
+                            min_size=1, max_size=3).map(lambda terms: CoeffPoly(g, terms))
+    support = st.lists(st.integers(lo, hi), min_size=1, max_size=5)
+    pair = [MotiveSeries(ctx, {e: draw(coeff) for e in draw(support)},
+                         valid_hi=hi - draw(st.integers(0, hi - lo)))
+            for _ in range(2)]
+    return pair[0], pair[1], draw(st.integers(-4, 4)), draw(st.integers(-6, 6))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_adic_pairs())
+def test_ring_operations_commute_with_the_mirror(case):
+    # each operation on the mirrored operands gives the mirrored result,
+    # or both sides raise ValueError (whose texts name each mode's end)
+    x, y, n, e = case
+    mx, my = _mirror(x), _mirror(y)
+    assert _mirror(mx) == x
+    for adic, dimensional in (
+        (lambda: x + y, lambda: mx + my), (lambda: x - y, lambda: mx - my),
+        (lambda: x * y, lambda: mx * my), (lambda: x * n, lambda: mx * n),
+        (lambda: x.shift(e), lambda: mx.shift(-e)),
+    ):
+        (a, _), (b, _) = _outcome(adic), _outcome(dimensional)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert _mirror(a) == b and b.validate()
 
 
 def test_coefficients_past_a_slot():
