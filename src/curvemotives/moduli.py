@@ -146,12 +146,14 @@ def rank2_template_blocks(g):
 
 
 def template_class(ctx, blocks) -> MotiveSeries:
-    """Sum over blocks of (product of symmetric powers) * (sum of L powers)."""
+    """Sum over blocks of (product of symmetric powers) * (sum of L powers).
+    Each distinct symmetric power is built once."""
+    sym = {k: sym_power_class(ctx, k) for k in {k for ks, _ in blocks for k in ks}}
     out = zero(ctx)
     for ks, exps in blocks:
-        base = sym_power_class(ctx, ks[0])
+        base = sym[ks[0]]
         for k in ks[1:]:
-            base = base * sym_power_class(ctx, k)
+            base = base * sym[k]
         emap = {}
         for e in exps:
             emap[e] = emap.get(e, 0) + 1

@@ -1,16 +1,27 @@
-"""The sparse-term kernel of the package and two integer polynomial types.
+"""The sparse-term kernel of the package, its one ring protocol, and two
+integer polynomial types.
 
 A term dict maps a key to a nonzero int.  ``add_into`` and ``mul_into`` are
 the only code that sums or multiplies term dicts: they accumulate into their
-first argument in place and drop zero sums.  ``combine`` adds two keys:
-``operator.add`` for ``IntPoly``, a pair sum for ``IntPoly2``, the monomial
-product for ``CoeffPoly`` and for the packed classes of ``MotiveSeries``,
-whose values are whole Laurent polynomials in L packed into ints.
+first argument in place and drop zero sums.  ``combine`` adds two keys.
 
-``IntPoly`` and ``IntPoly2`` serve the numeric realizations and oracles.
-The constructors drop zero coefficients; the ring operations call the
-kernel, wrap its result through ``_trusted``, and refuse an operand of the
-other polynomial type with ``TypeError``."""
+The ring operations of ``CoeffPoly``, ``IntPoly`` and ``IntPoly2`` exist
+once, as the ``ring_*`` functions below, and each class binds them in its
+own body (``__add__ = __radd__ = ring_add``).  A type supplies only its
+constants: ``_unit``, the key of the constant monomial; ``_ring``, which
+tells its coefficient rings apart (None, or the genus of a ``CoeffPoly``);
+``_combine``, its key sum (``operator.add``, a pair sum, the monomial
+product); and ``_wrap(terms)``, which wraps a term dict the kernel built
+without checking it.  An int operand is a constant, and an int factor
+scales a copy; an operand of another type is refused with ``TypeError``,
+and one over another ring with ``ValueError``.  The operations are bound
+in each class body, not inherited or set afterwards, so that each type
+defines them in its own ``__dict__`` (where perfbench's tracer wraps them)
+and keeps ``__hash__ = None``: equal polynomials need not be one object.
+
+``format_terms`` and ``monomial_text`` print all three types.  ``IntPoly``
+and ``IntPoly2`` serve the numeric realizations and oracles; their
+constructor drops zero coefficients."""
 
 from __future__ import annotations
 
@@ -46,15 +57,63 @@ def mul_into(acc, a, b, combine):
     return acc
 
 
-def _add_pairs(p, q):
-    return (p[0] + q[0], p[1] + q[1])
+# -- the ring protocol -----------------------------------------------------
 
 
-def power(one, base, n):
-    """``base ** n`` by repeated squaring, starting from ``one``."""
+def _operand(a, b):
+    """The terms of ``b`` as an operand of ``a``: an int is a constant, a
+    polynomial of a's type must share a's ring; None for anything else."""
+    if isinstance(b, int):
+        return {a._unit: b} if b else {}
+    if type(b) is not type(a):
+        return None
+    if b._ring != a._ring:
+        raise ValueError("mixed coefficient rings: g=%d vs g=%d" % (a._ring, b._ring))
+    return b.terms
+
+
+def ring_bool(a):
+    return bool(a.terms)
+
+
+def ring_eq(a, b):
+    if isinstance(b, int):
+        return a.terms == ({a._unit: b} if b else {})
+    if type(b) is not type(a):
+        return NotImplemented
+    return a._ring == b._ring and a.terms == b.terms
+
+
+def ring_neg(a):
+    return a._wrap({k: -c for k, c in a.terms.items()})
+
+
+def ring_add(a, b):
+    t = _operand(a, b)
+    return NotImplemented if t is None else a._wrap(add_into(dict(a.terms), t))
+
+
+def ring_sub(a, b):
+    t = _operand(a, b)
+    return NotImplemented if t is None else a._wrap(add_into(dict(a.terms), t, -1))
+
+
+def ring_rsub(a, b):
+    return ring_add(ring_neg(a), b)
+
+
+def ring_mul(a, b):
+    if isinstance(b, int):
+        return a._wrap(add_into({}, a.terms, b) if b else {})
+    t = _operand(a, b)
+    return NotImplemented if t is None else a._wrap(mul_into({}, a.terms, t, a._combine))
+
+
+def ring_pow(a, n):
+    """``a ** n`` by repeated squaring."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("only non-negative integer powers are defined")
-    out = one
+    out, base = a._wrap({a._unit: 1}), a
     while n:
         if n & 1:
             out = out * base
@@ -64,76 +123,70 @@ def power(one, base, n):
     return out
 
 
-def _operand(cls, other):
-    """The terms of a ring operand: an int or a ``cls``; None otherwise."""
-    if isinstance(other, int):
-        other = cls.const(other)
-    return other.terms if isinstance(other, cls) else None
+# -- printing --------------------------------------------------------------
+
+
+def monomial_text(names, exps):
+    """The product of the names to their exponents, '' for the unit."""
+    return "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in zip(names, exps) if e)
+
+
+def format_terms(names, items):
+    """The text of a polynomial from its (exponents, coefficient) pairs in
+    print order, joined by signs; '0' for none."""
+    out = []
+    for exps, c in items:
+        m, n = monomial_text(names, exps), abs(c)
+        body = str(n) if not m else m if n == 1 else "%d*%s" % (n, m)
+        sign = ("- " if c < 0 else "+ ") if out else ("-" if c < 0 else "")
+        out.append(sign + body)
+    return " ".join(out) or "0"
+
+
+# -- the integer polynomial types ------------------------------------------
+
+
+def _init_terms(self, terms=None):
+    self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+
+
+def _trusted_terms(cls, terms):
+    """Wrap ``terms`` as is; every coefficient must be nonzero."""
+    self = object.__new__(cls)
+    self.terms = terms
+    return self
+
+
+def _const(cls, n):
+    return cls({cls._unit: n})
+
+
+def _add_pairs(p, q):
+    return (p[0] + q[0], p[1] + q[1])
 
 
 class IntPoly:
     """Univariate Laurent polynomial over Z as {exponent: coefficient}."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def _trusted(cls, terms):
-        """Wrap ``terms`` as is; every coefficient must be nonzero."""
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
+    _unit = 0
+    _ring = None
+    _combine = staticmethod(operator.add)
+    __init__ = _init_terms
+    _trusted = _wrap = classmethod(_trusted_terms)
+    const = classmethod(_const)
+    __bool__ = ring_bool
+    __eq__ = ring_eq
+    __neg__ = ring_neg
+    __add__ = __radd__ = ring_add
+    __sub__ = ring_sub
+    __rsub__ = ring_rsub
+    __mul__ = __rmul__ = ring_mul
+    __pow__ = ring_pow
 
     @classmethod
     def x(cls, e=1):
         return cls({e: 1})
-
-    @classmethod
-    def const(cls, n):
-        return cls({0: n})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self):
-        return IntPoly._trusted({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        b = _operand(IntPoly, other)
-        if b is None:
-            return NotImplemented
-        return IntPoly._trusted(add_into(dict(self.terms), b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = _operand(IntPoly, other)
-        if b is None:
-            return NotImplemented
-        return IntPoly._trusted(add_into(dict(self.terms), b, -1))
-
-    def __rsub__(self, other):
-        return (self * -1).__add__(other)
-
-    def __mul__(self, other):
-        b = _operand(IntPoly, other)
-        if b is None:
-            return NotImplemented
-        return IntPoly._trusted(mul_into({}, self.terms, b, operator.add))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return power(IntPoly.const(1), self, n)
 
     def degree(self):
         if not self.terms:
@@ -171,21 +224,7 @@ class IntPoly:
         return q
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        out = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                v = "x" if e == 1 else "x^%d" % e
-                body = v if abs(c) == 1 else "%d*%s" % (abs(c), v)
-            if not out:
-                out.append(body if c > 0 else "-" + body)
-            else:
-                out.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(out)
+        return format_terms("x", (((e,), c) for e, c in sorted(self.terms.items())))
 
     __repr__ = __str__
 
@@ -194,65 +233,24 @@ class IntPoly2:
     """Bivariate polynomial over Z as {(i, j): coefficient}."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {ij: c for ij, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def _trusted(cls, terms):
-        """Wrap ``terms`` as is; every coefficient must be nonzero."""
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    @classmethod
-    def const(cls, n):
-        return cls({(0, 0): n})
+    _unit = (0, 0)
+    _ring = None
+    _combine = staticmethod(_add_pairs)
+    __init__ = _init_terms
+    _trusted = _wrap = classmethod(_trusted_terms)
+    const = classmethod(_const)
+    __bool__ = ring_bool
+    __eq__ = ring_eq
+    __neg__ = ring_neg
+    __add__ = __radd__ = ring_add
+    __sub__ = ring_sub
+    __rsub__ = ring_rsub
+    __mul__ = __rmul__ = ring_mul
+    __pow__ = ring_pow
 
     @classmethod
     def monomial(cls, i, j, c=1):
         return cls({(i, j): c})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPoly2.const(other)
-        if not isinstance(other, IntPoly2):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self):
-        return IntPoly2._trusted({ij: -c for ij, c in self.terms.items()})
-
-    def __add__(self, other):
-        b = _operand(IntPoly2, other)
-        if b is None:
-            return NotImplemented
-        return IntPoly2._trusted(add_into(dict(self.terms), b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = _operand(IntPoly2, other)
-        if b is None:
-            return NotImplemented
-        return IntPoly2._trusted(add_into(dict(self.terms), b, -1))
-
-    def __rsub__(self, other):
-        return (self * -1).__add__(other)
-
-    def __mul__(self, other):
-        b = _operand(IntPoly2, other)
-        if b is None:
-            return NotImplemented
-        return IntPoly2._trusted(mul_into({}, self.terms, b, _add_pairs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return power(IntPoly2.const(1), self, n)
 
     def coeff(self, i, j):
         return self.terms.get((i, j), 0)
@@ -265,21 +263,6 @@ class IntPoly2:
         return IntPoly(acc)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        def var(s, e):
-            if e == 0:
-                return ""
-            return s if e == 1 else "%s^%d" % (s, e)
-        out = []
-        for i, j in sorted(self.terms):
-            c = self.terms[(i, j)]
-            vs = "*".join(x for x in (var("u", i), var("v", j)) if x)
-            body = (str(abs(c)) if not vs else (vs if abs(c) == 1 else "%d*%s" % (abs(c), vs)))
-            if not out:
-                out.append(body if c > 0 else "-" + body)
-            else:
-                out.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(out)
+        return format_terms("uv", sorted(self.terms.items()))
 
     __repr__ = __str__

@@ -59,7 +59,8 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .polys import add_into, mul_into
+from .polys import (add_into, format_terms, mul_into, ring_add, ring_bool, ring_eq, ring_mul,
+                    ring_neg, ring_rsub, ring_sub)
 
 __all__ = [
     "Mode",
@@ -139,23 +140,18 @@ class GenusContext:
         return cls(g, TruncationWindow(lo, hi, Mode.ADIC))
 
     @classmethod
-    def dimensional(cls, g: int, lo: int | None = None, hi: int | None = None,
-                    max_rank: int = 3) -> "GenusContext":
+    def dimensional(cls, g: int, lo: int | None = None, hi: int | None = None) -> "GenusContext":
         """Context truncating toward -infinity.
 
-        The default ceiling r^2(g-1) + g (r = max_rank) leaves room for the
-        bundle classes of every rank up to max_rank; the default floor
-        -(10g+10) mirrors the adic default depth.
+        The default ceiling 9(g-1) + g leaves room for the bundle classes of
+        ranks 2 and 3; the default floor -(10g+10) mirrors the adic default
+        depth.
         """
         if lo is None:
             lo = -(10 * g + 10)
         if hi is None:
-            hi = max_rank * max_rank * (g - 1) + g
+            hi = 9 * (g - 1) + g
         return cls(g, TruncationWindow(lo, hi, Mode.DIMENSIONAL))
-
-
-def _unit_mono(g):
-    return (0,) * g
 
 
 def _mono_mul(m, n):
@@ -241,18 +237,6 @@ def _exact_end_error(ctx, e):
     return ValueError(_PAST_EXACT_END[ctx.mode]["support"] % (e, ctx.window.exponent(0)))
 
 
-def _mono_str(mono):
-    if not any(mono):
-        return "1"
-    parts = []
-    for i, m in enumerate(mono):
-        if m == 1:
-            parts.append("l%d" % (i + 1))
-        elif m > 1:
-            parts.append("l%d^%d" % (i + 1, m))
-    return "*".join(parts)
-
-
 class CoeffPoly:
     """Integer polynomial in the free commuting classes l1..lg.
 
@@ -261,11 +245,19 @@ class CoeffPoly:
     are treated as immutable.
 
     The public constructor validates what it is given; the ring operations
-    build their results through ``_trusted``, because their monomials are
-    already canonical and they never store a zero coefficient.
+    of ``polys`` build their results through ``_wrap``, because their
+    monomials are already canonical and they never store a zero coefficient.
     """
 
     __slots__ = ("g", "terms")
+    _combine = staticmethod(_mono_mul)
+    __bool__ = ring_bool
+    __eq__ = ring_eq
+    __neg__ = ring_neg
+    __add__ = __radd__ = ring_add
+    __sub__ = ring_sub
+    __rsub__ = ring_rsub
+    __mul__ = __rmul__ = ring_mul
 
     def __init__(self, g, terms=None):
         if g < 1:
@@ -297,93 +289,32 @@ class CoeffPoly:
 
     @classmethod
     def one(cls, g):
-        return cls(g, {_unit_mono(g): 1})
+        return cls(g, {(0,) * g: 1})
 
     @classmethod
     def constant(cls, g, n):
-        return cls(g, {_unit_mono(g): n})
+        return cls(g, {(0,) * g: n})
 
     @classmethod
     def single(cls, g, mono, c=1):
         """The single term c * l1^m1 ... lg^mg."""
         return cls(g, {tuple(mono): c})
 
-    def _require_same_ring(self, other):
-        if self.g != other.g:
-            raise ValueError("mixed coefficient rings: g=%d vs g=%d" % (self.g, other.g))
+    _unit = property(lambda self: (0,) * self.g)
+    _ring = property(lambda self: self.g)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = CoeffPoly.constant(self.g, other)
-        if not isinstance(other, CoeffPoly):
-            return NotImplemented
-        return self.g == other.g and self.terms == other.terms
-
-    def __neg__(self):
-        return CoeffPoly._trusted(self.g, {m: -c for m, c in self.terms.items()})
-
-    def _plus(self, other, n):
-        """self + n * other for an int or a same-ring CoeffPoly."""
-        if isinstance(other, int):
-            other = CoeffPoly.constant(self.g, other)
-        elif not isinstance(other, CoeffPoly):
-            return NotImplemented
-        self._require_same_ring(other)
-        return CoeffPoly._trusted(self.g, add_into(dict(self.terms), other.terms, n))
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (self * -1)._plus(other, 1)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CoeffPoly._trusted(self.g, add_into({}, self.terms, other) if other else {})
-        if not isinstance(other, CoeffPoly):
-            return NotImplemented
-        self._require_same_ring(other)
-        return CoeffPoly._trusted(self.g, mul_into({}, self.terms, other.terms, _mono_mul))
-
-    __rmul__ = __mul__
+    def _wrap(self, terms):
+        return CoeffPoly._trusted(self.g, terms)
 
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), 0)
-
-    @property
-    def constant_term(self):
-        """Coefficient of the unit monomial (the pure-Lefschetz part)."""
-        return self.terms.get(_unit_mono(self.g), 0)
 
     def items(self):
         """Terms sorted by exponent vector (graded, low classes first)."""
         return sorted(self.terms.items(), key=lambda mc: (sum(mc[0]), tuple(reversed(mc[0]))))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        out = []
-        for mono, c in self.items():
-            ms = _mono_str(mono)
-            if ms == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = ms
-            else:
-                body = "%d*%s" % (abs(c), ms)
-            if not out:
-                out.append(body if c > 0 else "-" + body)
-            else:
-                out.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(out)
+        return format_terms(["l%d" % i for i in range(1, self.g + 1)], self.items())
 
     def __repr__(self):
         return "CoeffPoly(g=%d, %s)" % (self.g, self)

@@ -193,6 +193,37 @@ def test_ring_operators_refuse_the_other_polynomial_type():
                 op(x, y)
 
 
+# the realize-poincare-rank2, realize-hodge-consistency and rank3-x-identity
+# reports carry these texts in their witnesses, and the README prints the last
+# three at g = 2
+PRINTED = [
+    (lambda: IntPoly({-2: -3, 0: 1, 1: -1, 5: 2}), "-3*x^-2 + 1 - x + 2*x^5"),
+    (lambda: IntPoly2({(0, 0): -1, (1, 0): 1, (2, 3): -4, (0, 1): 2}),
+     "-1 + 2*v + u - 4*u^2*v^3"),
+    (lambda: CoeffPoly(3, {(0, 0, 0): -2, (1, 0, 2): 1, (0, 2, 0): -5}),
+     "-2 - 5*l2^2 + l1*l3^2"),
+    (lambda: IntPoly(), "0"),
+    (lambda: IntPoly2(), "0"),
+    (lambda: CoeffPoly(3), "0"),
+    (lambda: jacobian_class(GenusContext.adic(2)), "(1 + l1 + l2) + l1*L + L^2"),
+    (lambda: realize(rank2_decomposition(GenusContext.adic(2)), POINCARE),
+     "1 + x^2 + 4*x^3 + x^4 + x^6"),
+    (lambda: realize(rank2_decomposition(GenusContext.adic(2)), count_target(_fixture())),
+     "40"),
+]
+
+
+@pytest.mark.parametrize("make,text", PRINTED)
+def test_printed_text(make, text):
+    assert str(make()) == text
+
+
+@pytest.mark.parametrize("value", [IntPoly.x(1), IntPoly2.monomial(1, 1), CoeffPoly.one(2)])
+def test_polynomial_types_are_unhashable(value):
+    with pytest.raises(TypeError):
+        hash(value)
+
+
 def test_count_genus_mismatch_rejected():
     ctx = GenusContext.adic(3)
     with pytest.raises(ValueError):
