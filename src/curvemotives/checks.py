@@ -140,6 +140,10 @@ def _rank2(g, window):
 
 def _rank3(g, window):
     ctx = _adic(g, window)
+    agree = moduli._unstable_rank3_raw(ctx).equals(moduli.unstable_rank3_chi(ctx))
+    if not agree:
+        raise ArithmeticError("raw and reduced unstable rank-3 corrections disagree "
+                              "at L^%d" % agree.witness_exponent)
     m3 = moduli.m3_chi(ctx)  # raises if support leaks above 8g-8
     return [("decomposition", m3.equals(moduli.rank3_decomposition(ctx))),
             {"step": "support-in-[0,%d]" % (8 * g - 8), "ok": True}], []
@@ -263,14 +267,13 @@ class CheckSpec:
     statement: str
     mode: str
     steps: object
-    min_genus: int = 2
     only_genus: int | None = None
     min_ceiling: object = lambda g: 0
 
     def applies(self, g):
         if self.only_genus is not None:
             return g == self.only_genus
-        return g >= self.min_genus
+        return g >= 2
 
 
 CHECKS = {

@@ -3,7 +3,9 @@ and the motivic zeta function with its decomposition identities.
 
 All constructors return exact polynomial classes (full validity range); the
 only genuinely infinite objects here are the zeta evaluations at powers of L,
-which are exact on the whole window by construction.
+which are exact on the whole window by construction.  The dimensional zeta
+decomposition at i is the adic formula at i - 1, so both completions run
+one formula.
 """
 
 from __future__ import annotations
@@ -122,73 +124,57 @@ def zeta_at_lefschetz(ctx, i: int) -> MotiveSeries:
     i <= -2 (terms march toward -infinity; i = -1 would pile up infinitely
     many contributions at a single exponent and is rejected).
     """
-    w = ctx.window
     if ctx.mode is Mode.ADIC:
         if i < 1:
             raise ValueError("adic zeta evaluation needs i >= 1, got %d" % i)
-        # the k-th term has support [ik, ik+k]; what passes the ceiling is
-        # truncated away
-        more = lambda k: i * k <= w.hi
-    else:
-        if i > -2:
-            raise ValueError("dimensional zeta evaluation needs i <= -2, got %d" % i)
-        # the k-th term has support [ik, ik+k]; it clears the floor once
-        # k(i+1) < lo.  The ceiling is a hard support bound: support above
-        # it is refused, as by the MotiveSeries constructor, never dropped.
-        more = lambda k: k * (i + 1) >= w.lo
+    elif i > -2:
+        raise ValueError("dimensional zeta evaluation needs i <= -2, got %d" % i)
+    w = ctx.window
 
     def runs():
+        # term k, supported on [ik, ik+k], is added while its end nearest the
+        # exact end lies in the window; what passes the free end is truncated,
+        # support past the exact end refused (as by MotiveSeries), never dropped
         k = 0
-        while more(k):
+        while min(w.slot(i * k), w.slot(i * k + k)) <= w.hi - w.lo:
             yield from _sym_runs(ctx.g, k, i * k)
             k += 1
     return _run_class(ctx, runs())
 
 
-def dec_zeta_finite_part(ctx, i: int) -> MotiveSeries:
-    """The two finite blocks of the zeta decomposition at t = L^(+-i).
+def _adic_index(ctx, i):
+    """The index j at which the adic formula gives the decomposition at i:
+    j = i in ADIC mode (i >= 1), j = i - 1 in DIMENSIONAL mode (i >= 2)."""
+    lag = int(ctx.mode is Mode.DIMENSIONAL)
+    if i - lag < 1:
+        raise ValueError("%s decomposition needs i >= %d, got %d"
+                         % (ctx.mode.value, 1 + lag, i))
+    return i - lag
 
-    ADIC (evaluation at L^i, i >= 1):
-        sum_{k=0}^{g-1} [C_k] L^{ik}  +  sum_{k=0}^{g-2} [C_k] L^{(2i+1)(g-1)-(i+1)k}
-    DIMENSIONAL (evaluation at L^{-i} scaled by L^{(2i-1)(g-1)}, i >= 2):
-        sum_{k=0}^{g-1} [C_k] L^{(i-1)k}  +  sum_{k=0}^{g-2} [C_k] L^{(2i-1)(g-1)-ik}
+
+def dec_zeta_finite_part(ctx, i: int) -> MotiveSeries:
+    """The two finite blocks of the zeta decomposition at t = L^(+-i), in
+    terms of j = i (ADIC, evaluation at L^i) or j = i - 1 (DIMENSIONAL,
+    evaluation at L^{-i} scaled by L^{(2i-1)(g-1)}):
+
+        sum_{k=0}^{g-1} [C_k] L^{jk}  +  sum_{k=0}^{g-2} [C_k] L^{(2j+1)(g-1)-(j+1)k}
     """
-    g = ctx.g
-    if ctx.mode is Mode.ADIC:
-        if i < 1:
-            raise ValueError("adic decomposition needs i >= 1, got %d" % i)
-        first = lambda k: i * k
-        second = lambda k: (2 * i + 1) * (g - 1) - (i + 1) * k
-    else:
-        if i < 2:
-            raise ValueError("dimensional decomposition needs i >= 2, got %d" % i)
-        first = lambda k: (i - 1) * k
-        second = lambda k: (2 * i - 1) * (g - 1) - i * k
-    out = None
-    for k in range(0, g):
-        t = sym_power_class(ctx, k).shift(first(k))
-        out = t if out is None else out + t
+    g, j = ctx.g, _adic_index(ctx, i)
+    out = sym_power_class(ctx, 0)
+    for k in range(1, g):
+        out = out + sym_power_class(ctx, k).shift(j * k)
     for k in range(0, g - 1):
-        out = out + sym_power_class(ctx, k).shift(second(k))
+        out = out + sym_power_class(ctx, k).shift((2 * j + 1) * (g - 1) - (j + 1) * k)
     return out
 
 
 def dec_zeta_rhs(ctx, i: int) -> MotiveSeries:
-    """Finite blocks plus the Jacobian tail of the zeta decomposition.
-
-    ADIC:        ... + [J] L^{ig} / ((1 - L^i)(1 - L^{i+1}))
-    DIMENSIONAL: ... + [J] L^{(i-1)g} / ((L^{i-1} - 1)(L^i - 1)), i >= 2
-    """
-    g = ctx.g
-    out = dec_zeta_finite_part(ctx, i)
-    jac = jacobian_class(ctx)
-    if ctx.mode is Mode.ADIC:
-        tail = jac.shift(i * g).div_unit(i).div_unit(i + 1)
-    else:
-        if i < 2:
-            raise ValueError("dimensional decomposition needs i >= 2, got %d" % i)
-        tail = jac.shift((i - 1) * g).div_unit(i - 1).div_unit(i)
-    return out + tail
+    """Finite blocks plus the Jacobian tail [J] L^{jg} / ((1 - L^j)(1 - L^{j+1}))
+    of the zeta decomposition, with j as in dec_zeta_finite_part; in
+    DIMENSIONAL mode the units are L^j - 1 and L^{j+1} - 1."""
+    j = _adic_index(ctx, i)
+    return (dec_zeta_finite_part(ctx, i)
+            + jacobian_class(ctx).shift(j * ctx.g).div_unit(j).div_unit(j + 1))
 
 
 # -- identity checks -------------------------------------------------------

@@ -6,7 +6,10 @@ and the dimensional-mode counterparts of all of it.
 Throughout, the stack of rank-r bundles with fixed determinant of odd degree
 has class  prod_{i=1}^{r-1} Z(C, L^i)  in adic mode and
 L^{(r^2-1)(g-1)} prod_{i=2}^{r} Z(C, L^{-i})  in dimensional mode; the
-unstable locus is removed stratum by stratum.
+unstable locus is removed stratum by stratum.  One builder,
+_moduli_class, makes both adic moduli classes; the unstable rank-3
+correction is built in its reduced form only, and the rank3 check compares
+it with the raw Harder-Narasimhan sum.
 """
 
 from __future__ import annotations
@@ -104,15 +107,6 @@ def unstable_rank2_chi(ctx) -> MotiveSeries:
     return jacobian_class(ctx).div_unit(1).div_unit(2).shift(g)
 
 
-def _require_ceiling(ctx, need):
-    """Refuse an adic window whose ceiling is below ``need``, one past the
-    support bound of a moduli class: its vanishing check would see nothing."""
-    _require_adic(ctx)
-    if ctx.window.hi < need:
-        raise ValueError("window ceiling %d does not pass the support bound %d "
-                         "(needs >= %d)" % (ctx.window.hi, need - 1, need))
-
-
 def rank2_min_ceiling(g):
     """The lowest adic window ceiling m2_chi accepts: 3g-2."""
     return 3 * g - 2
@@ -123,19 +117,27 @@ def rank3_min_ceiling(g):
     return 8 * g - 7
 
 
-def m2_chi(ctx) -> MotiveSeries:
-    """Rank-2 fixed-determinant moduli class: stack minus unstable stratum.
-
-    The result is a polynomial supported in [0, 3g-3]; that vanishing is
-    re-verified here on the whole window, whose ceiling must pass 3g-3,
-    before returning."""
-    _require_ceiling(ctx, rank2_min_ceiling(ctx.g))
-    out = bun_chi(ctx, 2) - unstable_rank2_chi(ctx)
-    bad = out.vanishes_above(3 * ctx.g - 3)
+def _moduli_class(ctx, r, min_ceiling, unstable):
+    """Rank-r fixed-determinant moduli class: the bundle stack minus the
+    unstable strata.  It is a polynomial supported up to min_ceiling(g) - 1;
+    that vanishing is re-verified on the whole window, whose ceiling must
+    pass it (else the check would see nothing), before returning."""
+    _require_adic(ctx)
+    need = min_ceiling(ctx.g)
+    if ctx.window.hi < need:
+        raise ValueError("window ceiling %d does not pass the support bound %d "
+                         "(needs >= %d)" % (ctx.window.hi, need - 1, need))
+    out = bun_chi(ctx, r) - unstable(ctx)
+    bad = out.vanishes_above(need - 1)
     if bad is not None:
         raise ArithmeticError(
-            "rank-2 moduli class has unexpected support at L^%d" % bad)
+            "rank-%d moduli class has unexpected support at L^%d" % (r, bad))
     return out
+
+
+def m2_chi(ctx) -> MotiveSeries:
+    """Rank-2 fixed-determinant moduli class, a polynomial in [0, 3g-3]."""
+    return _moduli_class(ctx, 2, rank2_min_ceiling, unstable_rank2_chi)
 
 
 def rank2_template_blocks(g):
@@ -168,54 +170,45 @@ def rank2_decomposition(ctx) -> MotiveSeries:
 
 
 def unstable_rank3_chi(ctx) -> MotiveSeries:
-    """Unstable rank-3 strata via the Harder-Narasimhan correction terms.
-
-    Computes both the raw three-term signed sum
-
-        (L^{2g} + L^{2g-1})/(1-L^3) * [J]/(1-L) * Z(C,L)
-        - L^{3g-1}/(1-L^2)^2 * ([J]/(1-L))^2
-
-    and the reduced form
+    """Unstable rank-3 strata via the Harder-Narasimhan correction terms,
+    in reduced form:
 
         L^{2g-1}(1+L)/((1-L)(1-L^3)) * [J] Z(C,L)
         - L^{3g-1}/((1-L)^2(1-L^2)^2) * [J]^2
 
-    and insists they agree before returning.  Z(C,L) enters through its
-    numerator (1+L)^{h1}: every product is with a finite class, and the
-    units are divided out with div_unit."""
+    Z(C,L) enters through its numerator (1+L)^{h1}: every product is with a
+    finite class, and the units are divided out with div_unit.  The rank3
+    check compares it with the raw form, _unstable_rank3_raw."""
     _require_adic(ctx)
     g = ctx.g
     jac = jacobian_class(ctx)
     h1 = binomial_h1_series(ctx, 1)  # Z(C,L) (1-L)(1-L^2)
-    ell = lefschetz_power(ctx, 1)
+    lin = (((one(ctx) + lefschetz_power(ctx, 1)) * jac * h1)
+           .div_unit(1).div_unit(3).div_unit(1).div_unit(2).shift(2 * g - 1))
+    quad = ((jac * jac).div_unit(1).div_unit(1).div_unit(2).div_unit(2)
+            .shift(3 * g - 1))
+    return lin - quad
+
+
+def _unstable_rank3_raw(ctx) -> MotiveSeries:
+    """The unstable rank-3 strata as the raw three-term signed sum
+
+        (L^{2g} + L^{2g-1})/(1-L^3) * [J]/(1-L) * Z(C,L)
+        - L^{3g-1}/(1-L^2)^2 * ([J]/(1-L))^2
+
+    which unstable_rank3_chi reduces."""
+    _require_adic(ctx)
+    g = ctx.g
+    jac = jacobian_class(ctx)
     jb = jac.div_unit(1)  # [J] * [B Gm]
-    lin = (jb.div_unit(3) * h1).div_unit(1).div_unit(2)
-    lin_raw = lin.shift(2 * g) + lin.shift(2 * g - 1)
-    quad_raw = (jb * jac).div_unit(1).div_unit(2).div_unit(2).shift(3 * g - 1)
-    raw = lin_raw - quad_raw
-    lin_red = (((one(ctx) + ell) * jac * h1)
-               .div_unit(1).div_unit(3).div_unit(1).div_unit(2).shift(2 * g - 1))
-    quad_red = ((jac * jac).div_unit(1).div_unit(1).div_unit(2).div_unit(2)
-                .shift(3 * g - 1))
-    reduced = lin_red - quad_red
-    agree = raw.equals(reduced)
-    if not agree:
-        raise ArithmeticError(
-            "raw and reduced unstable rank-3 corrections disagree at L^%d"
-            % agree.witness_exponent)
-    return reduced
+    lin = (jb.div_unit(3) * binomial_h1_series(ctx, 1)).div_unit(1).div_unit(2)
+    quad = (jb * jac).div_unit(1).div_unit(2).div_unit(2).shift(3 * g - 1)
+    return lin.shift(2 * g) + lin.shift(2 * g - 1) - quad
 
 
 def m3_chi(ctx) -> MotiveSeries:
-    """Rank-3 fixed-determinant moduli class; a polynomial in [0, 8g-8],
-    re-verified on a window whose ceiling must pass 8g-8."""
-    _require_ceiling(ctx, rank3_min_ceiling(ctx.g))
-    out = bun_chi(ctx, 3) - unstable_rank3_chi(ctx)
-    bad = out.vanishes_above(8 * ctx.g - 8)
-    if bad is not None:
-        raise ArithmeticError(
-            "rank-3 moduli class has unexpected support at L^%d" % bad)
-    return out
+    """Rank-3 fixed-determinant moduli class, a polynomial in [0, 8g-8]."""
+    return _moduli_class(ctx, 3, rank3_min_ceiling, unstable_rank3_chi)
 
 
 def rank3_index_pairs(g):

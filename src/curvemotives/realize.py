@@ -24,6 +24,7 @@ from functools import cache, reduce
 from math import comb
 
 from .polys import IntPoly, IntPoly2, add_into
+from .series import Mode
 
 __all__ = [
     "CountingData",
@@ -169,7 +170,11 @@ def realize(series, target):
     the int 0.
     The stored coefficients are taken at face value, so only feed this
     classes that are genuinely polynomial (moduli classes, symmetric
-    powers, the Jacobian)."""
+    powers, the Jacobian); a dimensional one valid only from L^e, e > 0, is
+    refused with ValueError, as its coefficients below L^e are unknown."""
+    if series.mode is Mode.DIMENSIONAL and series.valid_lo > 0:
+        raise ValueError("realization needs the class from L^0 up; this dimensional "
+                         "class is valid only from L^%d" % series.valid_lo)
     if target.kind == "count":
         lam = [IntPoly.const(n) for n in _lambda_images(target, series.g)]
         ell = IntPoly.const(_lefschetz_image(target))

@@ -475,11 +475,14 @@ class MotiveSeries:
         return {e: CoeffPoly._trusted(self.g, rows[e]) for e in sorted(rows)}
 
     def coefficient(self, e):
-        """Exact coefficient of L^e; e must lie in the validity range."""
+        """Exact coefficient of L^e; e must lie in the validity range.  Only
+        its slot is decoded."""
         if e < self.valid_lo or e > self.valid_hi:
             raise ValueError(
                 "L^%d is outside the validity range [%d, %d]" % (e, self.valid_lo, self.valid_hi))
-        return self.coeffs.get(e, CoeffPoly.zero(self.g))
+        low, width = self.ctx.window.slot(e) * self.width, self.width
+        return CoeffPoly._trusted(self.g, {m: c for m, v in self.packed.items()
+                                           if (c := _cut(_drop(v, low), width))})
 
     def coefficient_table(self, lo, hi):
         """Exact coefficients on [lo, hi] as {exponent: CoeffPoly}, zeros omitted."""

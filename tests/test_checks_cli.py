@@ -8,7 +8,7 @@ import pytest
 
 from curvemotives import curves, moduli
 from curvemotives.polys import IntPoly2
-from curvemotives.series import lefschetz_power
+from curvemotives.series import GenusContext, lefschetz_power
 
 from curvemotives.checks import (
     available_checks,
@@ -51,6 +51,26 @@ def test_run_check_guards():
         run_check("no-such-check", 2)
     with pytest.raises(ValueError):
         run_check("count-cross-check", 3)  # fixture curve is genus 2
+
+
+@pytest.mark.parametrize("cid", available_checks())
+def test_checks_do_not_apply_below_genus_2(cid):
+    with pytest.raises(ValueError, match="does not apply at genus 1"):
+        run_check(cid, 1)
+
+
+def test_rank3_self_check_reports_a_raw_reduced_mismatch(monkeypatch):
+    # the raw and reduced unstable rank-3 corrections are compared in the
+    # rank3 check only; the moduli class itself is built from the reduced one
+    ctx = GenusContext.adic(2)
+    m3 = moduli.m3_chi(ctx)
+    raw = moduli._unstable_rank3_raw
+    monkeypatch.setattr(moduli, "_unstable_rank3_raw", lambda c: raw(c) + 1)
+    r = run_check("rank3", 2)
+    assert r.verdict == "fail"
+    assert r.witness == {
+        "error": "raw and reduced unstable rank-3 corrections disagree at L^0"}
+    assert moduli.m3_chi(ctx) == m3
 
 
 def test_flagged_reports_carry_notes():

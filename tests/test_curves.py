@@ -1,5 +1,6 @@
 """Symmetric powers, the Jacobian, and the zeta-function identities."""
 
+import hashlib
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from curvemotives.curves import (
     check_functional_equation,
     check_symmetric_power_decomposition,
     check_zeta_rationality,
+    dec_zeta_finite_part,
     dec_zeta_rhs,
     jacobian_class,
     sym_power_class,
@@ -134,6 +136,101 @@ def test_dec_zeta_dimensional():
             assert bool(lhs.equals(dec_zeta_rhs(ctx, i)))
     with pytest.raises(ValueError):
         dec_zeta_rhs(GenusContext.dimensional(2), 1)
+
+
+# sha256 of to_json() of the zeta decomposition, keyed by (function, mode,
+# genus, window or None for the default, i).  The non-default windows are
+# [-3, 30] (adic) and floor -30 (dimensional, default ceiling).
+DEC_ZETA_DIGESTS = {
+    ("dec_zeta_finite_part", "adic", 2, None, 1):
+        "784bc7d6f6b42d7211f5a606a155b01377ee4fced02da4e740b50e5d025e4d24",
+    ("dec_zeta_rhs", "adic", 2, None, 1):
+        "9c3e161f048d6d1da4d5b84ad463df812956b6d0afab607dc8f78d5e54e81abe",
+    ("dec_zeta_finite_part", "adic", 2, None, 2):
+        "50e081f7ff9ebdc76991bc7c392f5182de96b5955d7c7f2b08758b044c6cd388",
+    ("dec_zeta_rhs", "adic", 2, None, 2):
+        "1a44ba57717be02e37aca239aa10116c35306c7efb1dcf076c3c3ff82ebc01e6",
+    ("dec_zeta_finite_part", "adic", 2, None, 3):
+        "48ad31a0e8c68d62f40c4b23cae58a69e2598980d3ec562ede578301cbce5a35",
+    ("dec_zeta_rhs", "adic", 2, None, 3):
+        "ff65769727f4328b79816d242978e3bcad4a5c68317bbea10bfbf9ecf7acf689",
+    ("dec_zeta_finite_part", "dimensional", 2, None, 2):
+        "451d1f2316611ec0a1652b74647d23aff97b1d0c028e092f271efed8b17e09d7",
+    ("dec_zeta_rhs", "dimensional", 2, None, 2):
+        "78b5faf2454a401dadf226b9276f74074f0e2b6c69d8e549bfd1f0f2644e2380",
+    ("dec_zeta_finite_part", "dimensional", 2, None, 3):
+        "c2ff9848b2c498bfe09fd0e679f3ffb139cc1cf9f3ecc335208c595202dd8610",
+    ("dec_zeta_rhs", "dimensional", 2, None, 3):
+        "d9cb29cb895be0a06b023c2b208463cb0511f4e2db1e2a27f356808afc9cd2bf",
+    ("dec_zeta_finite_part", "adic", 3, None, 1):
+        "bd70cd8c1a33949a57806f9b3a179394a769f770f53b40d60322839de747bd1a",
+    ("dec_zeta_rhs", "adic", 3, None, 1):
+        "889a52505acf67e0d8b7d519f22777f3a05a80d46bad540b7697c3f13e802487",
+    ("dec_zeta_finite_part", "adic", 3, None, 2):
+        "19c62c79f3844a599dc63b5f93eae8f4c8afabbfaf1284f16e6608ef4c1d8f73",
+    ("dec_zeta_rhs", "adic", 3, None, 2):
+        "926114526bc50a34550af761ff9407941a52f2e2f9dba94fcc1a3a24ba5e47e2",
+    ("dec_zeta_finite_part", "adic", 3, None, 3):
+        "63477e41e49f017cd697b8d303908cf2f5f29401f3dd01d7037b8cf51ee098e8",
+    ("dec_zeta_rhs", "adic", 3, None, 3):
+        "b7e3cc1a045ee287b9c0700506fa33ffeb3d56c4429f297b910a1cb198ebc9ec",
+    ("dec_zeta_finite_part", "dimensional", 3, None, 2):
+        "c6fb109ae68f53d2656427e140358abc41ed7503e4a9e3d7c84f089842de408b",
+    ("dec_zeta_rhs", "dimensional", 3, None, 2):
+        "a035147b61b6bd36d7af211b18ec22e70b320de96873e94821c1b113ff1dfea6",
+    ("dec_zeta_finite_part", "dimensional", 3, None, 3):
+        "90f39c9f3e58ed781b5aa9c53be109126f5cfb4a42aadab2c286231830aacf7f",
+    ("dec_zeta_rhs", "dimensional", 3, None, 3):
+        "ece66d7128ca4fdb8181a29c58ee82de8bc21b0e6e31b390e36b7b6ed071ab04",
+    ("dec_zeta_finite_part", "adic", 3, (-3, 30), 1):
+        "66daf552301ce505c5e85d3269bc53b5b1ee12cadfc3a09001b3f6a80ff20b3b",
+    ("dec_zeta_rhs", "adic", 3, (-3, 30), 1):
+        "ddda0a9f97cb7401668e325b737de4f7aac7ab116c3c33a93a57e3cc59fa3f56",
+    ("dec_zeta_finite_part", "adic", 3, (-3, 30), 2):
+        "e1201f2209a156e473870b8b9d070f46075952dd3b2dd881389510ff9e307856",
+    ("dec_zeta_rhs", "adic", 3, (-3, 30), 2):
+        "77804a93705a7302bbb016a3de619924b6655bec3fbd4e95eee42fc026744409",
+    ("dec_zeta_finite_part", "adic", 3, (-3, 30), 3):
+        "8e6b38a0b38085a1645411e5652456188d7acac99c1f5d70b945c9b6957cef3d",
+    ("dec_zeta_rhs", "adic", 3, (-3, 30), 3):
+        "8babc9458a8beabd4355afc077093547bc16d9aa7af91ccc4a1bd47a75f5a8bb",
+    ("dec_zeta_finite_part", "dimensional", 3, (-30, None), 2):
+        "ad4e03fb21e2a96d55eae555dc5c92a5fab059a985bef6b52003bf9b63d98a94",
+    ("dec_zeta_rhs", "dimensional", 3, (-30, None), 2):
+        "77ab37f71c8c609cc673a93e6888c2fed486e00108027cff1f466607d075a9ad",
+    ("dec_zeta_finite_part", "dimensional", 3, (-30, None), 3):
+        "10f6b2eb526cb3239f87e38551d4d8a91fd506c44159ab0a10961a707c54949d",
+    ("dec_zeta_rhs", "dimensional", 3, (-30, None), 3):
+        "89bfe1e8b92ed3e3f0f99cd35894b8e485f6c306ce40403b3fddb54d7c62cca8",
+}
+
+_DEC_ZETA_WINDOWS = {
+    ("adic", (-3, 30)): lambda g: GenusContext.adic(g, hi=30, lo=-3),
+    ("dimensional", (-30, None)): lambda g: GenusContext.dimensional(g, lo=-30),
+}
+
+
+def test_dec_zeta_digests_are_frozen():
+    functions = {"dec_zeta_finite_part": dec_zeta_finite_part, "dec_zeta_rhs": dec_zeta_rhs}
+    got = {}
+    for name, mode, g, window, i in DEC_ZETA_DIGESTS:
+        if window is None:
+            ctx = getattr(GenusContext, mode)(g)
+        else:
+            ctx = _DEC_ZETA_WINDOWS[mode, window](g)
+        cls = functions[name](ctx, i)
+        got[name, mode, g, window, i] = hashlib.sha256(cls.to_json().encode()).hexdigest()
+    assert got == DEC_ZETA_DIGESTS
+
+
+@pytest.mark.parametrize("function", [dec_zeta_finite_part, dec_zeta_rhs])
+def test_dec_zeta_refusal_texts(function):
+    with pytest.raises(ValueError) as adic:
+        function(GenusContext.adic(2), 0)
+    assert str(adic.value) == "adic decomposition needs i >= 1, got 0"
+    with pytest.raises(ValueError) as dimensional:
+        function(GenusContext.dimensional(2), 1)
+    assert str(dimensional.value) == "dimensional decomposition needs i >= 2, got 1"
 
 
 def test_zeta_rationality_check():

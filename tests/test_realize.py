@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from curvemotives.curves import jacobian_class, sym_power_class
-from curvemotives.moduli import m2_chi, m3_chi, rank2_decomposition
+from curvemotives.moduli import m2_chi, m2_var, m3_chi, rank2_decomposition
 from curvemotives.realize import _fixed_lambda_images, _lambda_images, _lefschetz_image
 from curvemotives.polys import IntPoly, IntPoly2
 from curvemotives.realize import (
@@ -329,3 +329,18 @@ def test_intpoly_ring_results_drop_zeros(ta, tb, tc, td, n, u, v):
                       (n - c, n - _at2(c, u, v)), (c + (-c), 0),
                       (c ** 2, _at2(c, u, v) ** 2)):
         assert 0 not in got.terms.values() and _at2(got, u, v) == want
+
+
+@pytest.mark.parametrize("lo", [0, 2])
+def test_realize_refuses_a_truncated_dimensional_class(lo):
+    # valid only from L^3 (floor 0) or L^5 (floor 2), the class does not know
+    # its coefficients on [0, 3]; at face value they realize to x^6 and 0
+    cls = m2_var(GenusContext.dimensional(2, lo=lo))
+    assert cls.valid_lo > 0
+    for target in (POINCARE, HODGE, count_target(_fixture())):
+        with pytest.raises(ValueError, match="valid only from L\\^%d" % cls.valid_lo):
+            realize(cls, target)
+    # from L^0 up the same class realizes, as the adic one does
+    full = m2_var(GenusContext.dimensional(2, lo=-3))
+    assert full.valid_lo <= 0
+    assert realize(full, POINCARE) == realize(m2_chi(GenusContext.adic(2)), POINCARE)

@@ -592,6 +592,23 @@ def test_packed_kernel_matches_decoded_arithmetic(case):
                     == _outcome(lambda: _equals_reference(narrow, b)))
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_coefficient_reads_the_decoded_view(case):
+    # coefficient(e) decodes one slot; it must agree with the full decoding
+    # everywhere in the validity range, also on products, whose slots are
+    # wider than their operands'
+    x, y, *_ = case
+    for s in (x, y, _outcome(lambda: x * y)[0]):
+        if s is None:
+            continue
+        coeffs = s.coeffs
+        for e in range(s.valid_lo, s.valid_hi + 1):
+            got = s.coefficient(e)
+            assert got == coeffs.get(e, 0)
+            assert 0 not in got.terms.values()
+
+
 # -- the two modes are mirror images under L -> L^-1 ------------------------
 
 
