@@ -14,6 +14,10 @@ fold, ``_fold``, derives every report field from them:
 * witness: the first failing step's witness.
 * window: the overlap of every step entry's "window".
 * details: the step entries, in order.
+
+A request (genera, check ids, window) is judged once, by ``plan``: the CLI,
+``run_suite`` and ``run_check`` refuse what it refuses, with its messages,
+and ``run_suite`` runs exactly the tasks it returns.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .series import GenusContext
 
 __all__ = [
     "CheckReport", "available_checks", "check_statement", "count_verdicts",
-    "min_window_ceiling", "run_check", "run_suite", "resolve_workers",
+    "plan", "run_check", "run_suite", "resolve_workers",
     "reports_to_json", "WORKERS_ENV_VAR",
 ]
 
@@ -135,18 +139,19 @@ def _rank2(g, window):
     ctx = _adic(g, window)
     m2 = moduli.m2_chi(ctx)  # raises if support leaks above 3g-3
     return [("decomposition", m2.equals(moduli.rank2_decomposition(ctx))),
-            {"step": "support-in-[0,%d]" % (3 * g - 3), "ok": True}], []
+            {"step": "support-in-[0,%d]" % (moduli.rank2_min_ceiling(g) - 1), "ok": True}], []
 
 
 def _rank3(g, window):
     ctx = _adic(g, window)
-    agree = moduli._unstable_rank3_raw(ctx).equals(moduli.unstable_rank3_chi(ctx))
+    m3 = moduli.m3_chi(ctx)  # raises if support leaks above 8g-8
+    # in adic mode m3 is exactly the stack minus the reduced correction
+    agree = moduli._unstable_rank3_raw(ctx).equals(moduli.bun_chi(ctx, 3) - m3)
     if not agree:
         raise ArithmeticError("raw and reduced unstable rank-3 corrections disagree "
                               "at L^%d" % agree.witness_exponent)
-    m3 = moduli.m3_chi(ctx)  # raises if support leaks above 8g-8
     return [("decomposition", m3.equals(moduli.rank3_decomposition(ctx))),
-            {"step": "support-in-[0,%d]" % (8 * g - 8), "ok": True}], []
+            {"step": "support-in-[0,%d]" % (moduli.rank3_min_ceiling(g) - 1), "ok": True}], []
 
 
 def _x_identity(g, window):
@@ -194,8 +199,7 @@ def _behrend_dhillon(g, window):
                             lambda: {"exponent": top, "delta": str(lead)}))
         mv = moduli.m2_var(dctx) if r == 2 else moduli.m3_var(dctx)
         ma = moduli.m2_chi(actx) if r == 2 else moduli.m3_chi(actx)
-        steps.append(("r=%d:cross-mode-moduli-class" % r, moduli.cross_mode_agreement(
-            mv, ma, max(0, mv.valid_lo), min(mv.valid_hi, ma.valid_hi))))
+        steps.append(("r=%d:cross-mode-moduli-class" % r, moduli._cross_mode(mv, ma)))
     return steps, []
 
 
@@ -376,27 +380,41 @@ def check_statement(check_id):
     return CHECKS[check_id].statement
 
 
-def min_window_ceiling(check_ids, genus_list):
-    """The largest window ceiling that the checks need over the genus list,
-    as (ceiling, check id, genus); (0, None, None) when nothing applies."""
-    return max(((CHECKS[cid].min_ceiling(g), cid, g)
-                for cid in check_ids for g in genus_list if CHECKS[cid].applies(g)),
-               default=(0, None, None))
+def plan(genus_list, check_ids=None, window=None):
+    """The sorted (check, genus) tasks of a request over its distinct genera
+    (all checks by default).  A genus below 2, unknown check ids, a window
+    without 0, or a window ceiling below the largest ``min_ceiling`` of the
+    tasks raises ValueError."""
+    genus_list = sorted(set(genus_list))
+    if any(g < 2 for g in genus_list):
+        raise ValueError("genus must be >= 2")
+    check_ids = available_checks() if check_ids is None else check_ids
+    unknown = [c for c in check_ids if c not in CHECKS]
+    if unknown:
+        raise ValueError("unknown checks: %s (see list-checks)" % ", ".join(unknown))
+    tasks = sorted((cid, g) for cid in check_ids for g in genus_list
+                   if CHECKS[cid].applies(g))
+    if window is not None:
+        lo, hi = window
+        if not lo <= 0 <= hi:
+            raise ValueError("window must contain 0, got [%d, %d]" % (lo, hi))
+        need, cid, g = max(((CHECKS[cid].min_ceiling(g), cid, g) for cid, g in tasks),
+                           default=(0, None, None))
+        if hi < need:
+            raise ValueError("window ceiling %d is too low for %s at genus %d "
+                             "(needs >= %d)" % (hi, cid, g, need))
+    return tasks
 
 
 def run_check(check_id, g, window=None) -> CheckReport:
-    """Run one check at one genus and materialize its report.  A window
-    below the check's ``min_ceiling`` is refused with ValueError; unexpected
-    arithmetic errors inside a steps function become a failing report, not a
-    crash."""
-    if check_id not in CHECKS:
-        raise ValueError("unknown check %r" % (check_id,))
-    spec = CHECKS[check_id]
-    if not spec.applies(g):
+    """Run one check at one genus and materialize its report.  A check that
+    does not apply at g, or a request that ``plan`` refuses, raises
+    ValueError; a ValueError or ArithmeticError inside the steps becomes a
+    failing report."""
+    if check_id in CHECKS and not CHECKS[check_id].applies(g):
         raise ValueError("check %s does not apply at genus %d" % (check_id, g))
-    if window is not None and window[1] < spec.min_ceiling(g):
-        raise ValueError("window ceiling %d is too low for %s at genus %d "
-                         "(needs >= %d)" % (window[1], check_id, g, spec.min_ceiling(g)))
+    plan([g], [check_id], window)
+    spec = CHECKS[check_id]
     start = time.perf_counter()
     try:
         steps, notes = spec.steps(g, window)
@@ -427,25 +445,16 @@ def resolve_workers(workers=None):
 
 
 def run_suite(genus_list, check_ids=None, window=None, workers=1):
-    """Run the selected checks over the genus list; reports come back in a
-    deterministic (check, genus) order regardless of worker count.
-    ``workers`` is resolved by ``resolve_workers``."""
-    if check_ids is None:
-        check_ids = available_checks()
-    for cid in check_ids:
-        if cid not in CHECKS:
-            raise ValueError("unknown check %r" % (cid,))
-    tasks = [(cid, g) for cid in check_ids for g in genus_list
-             if CHECKS[cid].applies(g)]
+    """Run exactly the tasks that ``plan`` makes of the request, in its
+    (check, genus) order regardless of worker count.  ``workers`` is
+    resolved by ``resolve_workers``."""
+    tasks = plan(genus_list, check_ids, window)
     workers = resolve_workers(workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_check, cid, g, window) for cid, g in tasks]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [run_check(cid, g, window) for cid, g in tasks]
-    reports.sort(key=lambda r: (r.check, r.genus))
-    return reports
+            return [f.result() for f in futures]
+    return [run_check(cid, g, window) for cid, g in tasks]
 
 
 def count_verdicts(reports):
@@ -458,7 +467,7 @@ def reports_to_json(reports, genus_list, check_ids=None, window=None):
     return {
         "schema": 1,
         "config": {
-            "genus": list(genus_list),
+            "genus": sorted(set(genus_list)),
             "checks": list(check_ids) if check_ids is not None else available_checks(),
             "window": list(window) if window is not None else None,
         },

@@ -8,16 +8,8 @@ import json
 import sys
 
 from . import __version__
-from .checks import (
-    available_checks,
-    check_statement,
-    count_verdicts,
-    min_window_ceiling,
-    reports_to_json,
-    resolve_workers,
-    run_suite,
-    WORKERS_ENV_VAR,
-)
+from .checks import (WORKERS_ENV_VAR, available_checks, check_statement, count_verdicts,
+                     plan, reports_to_json, resolve_workers, run_suite)
 from .curves import jacobian_class, sym_power_class
 from .moduli import m2_chi, m3_chi
 from .polys import IntPoly, IntPoly2
@@ -63,37 +55,15 @@ def build_parser():
     return parser
 
 
-def _validate_verify(parser, args):
-    genus = sorted(set(args.genus))
-    if any(g < 2 for g in genus):
-        parser.error("genus must be >= 2")
-    check_ids = args.checks
-    if check_ids is not None:
-        unknown = [c for c in check_ids if c not in available_checks()]
-        if unknown:
-            parser.error("unknown checks: %s (see list-checks)" % ", ".join(unknown))
-    window = tuple(args.window) if args.window else None
-    if window is not None:
-        lo, hi = window
-        if not lo <= 0 <= hi:
-            parser.error("window must contain 0, got [%d, %d]" % (lo, hi))
-        selected = check_ids if check_ids is not None else available_checks()
-        need, cid, g = min_window_ceiling(selected, genus)
-        if hi < need:
-            parser.error("window ceiling %d is too low for %s at genus %d "
-                         "(needs >= %d)" % (hi, cid, g, need))
+def _cmd_verify(parser, args):
     try:
+        tasks = plan(args.genus, args.checks, args.window)
         workers = resolve_workers(args.workers)
     except ValueError as exc:
         parser.error(str(exc))
-    return genus, check_ids, window, workers
-
-
-def _cmd_verify(parser, args):
-    genus, check_ids, window, workers = _validate_verify(parser, args)
-    reports = run_suite(genus, check_ids, window=window, workers=workers)
-    if not reports:
+    if not tasks:
         parser.error("selected checks do not apply to any requested genus")
+    reports = run_suite(args.genus, args.checks, window=args.window, workers=workers)
     for r in reports:
         win = "window=[%d,%d] " % tuple(r.window) if r.window else ""
         print("%-7s %s g=%d %s(%.2fs)"
@@ -106,7 +76,7 @@ def _cmd_verify(parser, args):
     print("%d passed, %d flagged, %d failed"
           % (summary["pass"], summary["flagged"], summary["fail"]))
     if args.json:
-        obj = reports_to_json(reports, genus, check_ids, window)
+        obj = reports_to_json(reports, args.genus, args.checks, args.window)
         with open(args.json, "w") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")

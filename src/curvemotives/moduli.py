@@ -8,8 +8,8 @@ has class  prod_{i=1}^{r-1} Z(C, L^i)  in adic mode and
 L^{(r^2-1)(g-1)} prod_{i=2}^{r} Z(C, L^{-i})  in dimensional mode; the
 unstable locus is removed stratum by stratum.  One builder,
 _moduli_class, makes both adic moduli classes; the unstable rank-3
-correction is built in its reduced form only, and the rank3 check compares
-it with the raw Harder-Narasimhan sum.
+correction is built in its reduced form only (the rank3 check compares
+the raw Harder-Narasimhan sum with the stack minus m3_chi).
 """
 
 from __future__ import annotations
@@ -82,6 +82,11 @@ def _require_dimensional(ctx):
         raise ValueError("this construction lives in the dimensional completion")
 
 
+def _require_rank(r):
+    if r not in (2, 3):
+        raise ValueError("rank must be 2 or 3, got %d" % r)
+
+
 # -- adic-mode pipelines ---------------------------------------------------
 
 
@@ -90,8 +95,7 @@ def bun_chi(ctx, r: int) -> MotiveSeries:
     the product of the zeta evaluations at L^1 .. L^{r-1}, built as the
     product of their numerators (1+L^i)^{h1} divided by the units."""
     _require_adic(ctx)
-    if r not in (2, 3):
-        raise ValueError("rank must be 2 or 3, got %d" % r)
+    _require_rank(r)
     out = binomial_h1_series(ctx, 1)
     for i in range(2, r):
         out = out * binomial_h1_series(ctx, i)
@@ -178,7 +182,8 @@ def unstable_rank3_chi(ctx) -> MotiveSeries:
 
     Z(C,L) enters through its numerator (1+L)^{h1}: every product is with a
     finite class, and the units are divided out with div_unit.  The rank3
-    check compares it with the raw form, _unstable_rank3_raw."""
+    check compares the raw form, _unstable_rank3_raw, with the stack minus
+    m3_chi, which is this form."""
     _require_adic(ctx)
     g = ctx.g
     jac = jacobian_class(ctx)
@@ -393,6 +398,7 @@ def inversion_consistency(ctx, r: int, d: int = 1):
     """Compare the inversion sum against the fixed-determinant moduli class
     and against the Jacobian times that class.  Returns both comparisons as
     [(label, Comparison), ...]; exactly one of them should hold."""
+    _require_rank(r)
     inv = inversion_formula(ctx, InversionSpec(r, d))
     m = m2_chi(ctx) if r == 2 else m3_chi(ctx)
     return [
@@ -539,6 +545,12 @@ def cross_mode_agreement(x: MotiveSeries, y: MotiveSeries, lo: int, hi: int) -> 
     return Comparison(True, lo, hi)
 
 
+def _cross_mode(dim: MotiveSeries, adic: MotiveSeries) -> Comparison:
+    """cross_mode_agreement on the range both classes cover from L^0 up."""
+    return cross_mode_agreement(dim, adic, max(0, dim.valid_lo),
+                                min(dim.valid_hi, adic.valid_hi))
+
+
 def var_rank2_check(ctx, adic_ctx=None):
     """Dimensional-mode rank-2 pipeline checks.
 
@@ -558,10 +570,7 @@ def var_rank2_check(ctx, adic_ctx=None):
     steps = [("decomposition", m2v.equals(template))]
     if adic_ctx is None:
         adic_ctx = GenusContext.adic(ctx.g)
-    m2a = m2_chi(adic_ctx)
-    lo = max(0, m2v.valid_lo)
-    hi = min(m2v.valid_hi, m2a.valid_hi)
-    steps.append(("cross-mode", cross_mode_agreement(m2v, m2a, lo, hi)))
+    steps.append(("cross-mode", _cross_mode(m2v, m2_chi(adic_ctx))))
     steps.append(("l3-prefactor-probe", (bun.shift(3) - un).equals(template)))
     return steps
 
@@ -573,10 +582,7 @@ def var_rank3_check(ctx, adic_ctx=None):
     steps = [("decomposition", m3v.equals(rank3_decomposition(ctx)))]
     if adic_ctx is None:
         adic_ctx = GenusContext.adic(ctx.g)
-    m3a = m3_chi(adic_ctx)
-    lo = max(0, m3v.valid_lo)
-    hi = min(m3v.valid_hi, m3a.valid_hi)
-    steps.append(("cross-mode", cross_mode_agreement(m3v, m3a, lo, hi)))
+    steps.append(("cross-mode", _cross_mode(m3v, m3_chi(adic_ctx))))
     return steps
 
 

@@ -356,6 +356,23 @@ def test_run_suite_rejects_worker_counts_below_one():
             run_suite([2], check_ids=["rank2"], workers=workers)
 
 
+@pytest.mark.parametrize("cid", available_checks())
+def test_run_check_refuses_a_window_without_0(cid):
+    with pytest.raises(ValueError, match=r"^window must contain 0, got \[1, 40\]$"):
+        run_check(cid, 2, (1, 40))
+
+
+def test_run_suite_refuses_what_verify_refuses():
+    with pytest.raises(ValueError, match="^genus must be >= 2$"):
+        run_suite([1], ["rank2"])
+    with pytest.raises(ValueError, match=r"^unknown checks: bogus, x \(see list-checks\)$"):
+        run_suite([2], ["bogus", "x"])
+
+
+def test_run_suite_runs_each_genus_once():
+    assert [(r.check, r.genus) for r in run_suite([2, 2], ["rank2"])] == [("rank2", 2)]
+
+
 def test_cli_verify_rejects_bad_worker_counts(monkeypatch, capsys):
     base = ["verify", "--genus", "2", "--checks", "rank2"]
     for extra, env in ((["--workers", "0"], None), (["--workers", "-3"], None),
@@ -371,6 +388,31 @@ def test_cli_verify_rejects_bad_worker_counts(monkeypatch, capsys):
     monkeypatch.setenv(WORKERS_ENV_VAR, "1")
     assert main(base) == 0
     capsys.readouterr()
+
+
+# the exact stderr line of each verify usage error
+USAGE_ERRORS = [
+    (["--genus", "1"], "genus must be >= 2"),
+    (["--checks", "bogus", "x"], "unknown checks: bogus, x (see list-checks)"),
+    (["--genus", "2", "--checks", "rank3", "--window", "0", "5"],
+     "window ceiling 5 is too low for rank3 at genus 2 (needs >= 9)"),
+    (["--genus", "2", "--checks", "zeta-rationality", "--window", "0", "7"],
+     "window ceiling 7 is too low for zeta-rationality at genus 2 (needs >= 8)"),
+    (["--window", "1", "9"], "window must contain 0, got [1, 9]"),
+    (["--genus", "2", "3", "--window", "0", "9"],
+     "window ceiling 9 is too low for var-rank3 at genus 3 (needs >= 17)"),
+    (["--workers", "0"], "workers must be >= 1, got 0"),
+    (["--genus", "1", "--workers", "0"], "genus must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+def test_cli_verify_usage_error_texts(argv, message, monkeypatch, capsys):
+    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+    with pytest.raises(SystemExit) as err:
+        main(["verify"] + argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "curve-motives: error: " + message
 
 
 def test_cli_realize_poincare(capsys):

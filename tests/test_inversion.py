@@ -94,3 +94,8 @@ def test_inversion_consistency_dichotomy():
     res = dict(inversion_consistency(GenusContext.adic(2), 2, 1))
     assert not res["fixed-determinant"]
     assert bool(res["jacobian-times-fixed-determinant"])
+
+
+def test_inversion_consistency_refuses_other_ranks():
+    with pytest.raises(ValueError, match="^rank must be 2 or 3, got 4$"):
+        inversion_consistency(GenusContext.adic(2), 4, 1)
