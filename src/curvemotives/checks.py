@@ -382,13 +382,13 @@ def check_statement(check_id):
 
 def plan(genus_list, check_ids=None, window=None):
     """The sorted (check, genus) tasks of a request over its distinct genera
-    (all checks by default).  A genus below 2, unknown check ids, a window
-    without 0, or a window ceiling below the largest ``min_ceiling`` of the
-    tasks raises ValueError."""
+    and distinct check ids (all checks by default).  A genus below 2,
+    unknown check ids, a window without 0, or a window ceiling below the
+    largest ``min_ceiling`` of the tasks raises ValueError."""
     genus_list = sorted(set(genus_list))
     if any(g < 2 for g in genus_list):
         raise ValueError("genus must be >= 2")
-    check_ids = available_checks() if check_ids is None else check_ids
+    check_ids = available_checks() if check_ids is None else list(dict.fromkeys(check_ids))
     unknown = [c for c in check_ids if c not in CHECKS]
     if unknown:
         raise ValueError("unknown checks: %s (see list-checks)" % ", ".join(unknown))
@@ -468,7 +468,8 @@ def reports_to_json(reports, genus_list, check_ids=None, window=None):
         "schema": 1,
         "config": {
             "genus": sorted(set(genus_list)),
-            "checks": list(check_ids) if check_ids is not None else available_checks(),
+            "checks": list(dict.fromkeys(available_checks() if check_ids is None
+                                         else check_ids)),
             "window": list(window) if window is not None else None,
         },
         "summary": count_verdicts(reports),

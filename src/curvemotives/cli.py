@@ -101,6 +101,21 @@ def _realization_json(value):
     return {"value": value}
 
 
+def _read_counts(parser, path):
+    """The point counts of a --counts file; a file that cannot be read, is
+    not JSON or does not hold the counts of a curve is a usage error."""
+    try:
+        with open(path) as fh:
+            return CountingData.from_json(json.load(fh))
+    except OSError as exc:
+        reason = exc.strerror
+    except KeyError as exc:
+        reason = "missing key %s" % exc
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        reason = str(exc)
+    parser.error("bad --counts file %s: %s" % (path, reason))
+
+
 def _cmd_realize(parser, args):
     if args.genus < 2:
         parser.error("genus must be >= 2")
@@ -130,8 +145,7 @@ def _cmd_realize(parser, args):
     else:
         if not args.counts:
             parser.error("--target count requires --counts")
-        with open(args.counts) as fh:
-            data = CountingData.from_json(json.load(fh))
+        data = _read_counts(parser, args.counts)
         if data.g != args.genus:
             parser.error("point-count data is for genus %d, not %d"
                          % (data.g, args.genus))

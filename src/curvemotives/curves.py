@@ -10,15 +10,8 @@ one formula.
 
 from __future__ import annotations
 
-from .series import (
-    CoeffPoly,
-    Mode,
-    MotiveSeries,
-    _run_class,
-    lambda_class,
-    lefschetz_power,
-    one,
-)
+from .series import (CoeffPoly, Mode, MotiveSeries, _basis_row, _run_class, lambda_class,
+                     lefschetz_power, one)
 
 __all__ = [
     "sym_power_class",
@@ -35,23 +28,11 @@ __all__ = [
 ]
 
 
-def _basis_row(g, b):
-    """Canonical form of the degree-b exterior power: (monomial, L-offset)."""
-    if b <= g:
-        c, off = b, 0
-    else:
-        c, off = 2 * g - b, b - g
-    mono = [0] * g
-    if c:
-        mono[c - 1] = 1
-    return tuple(mono), off
-
-
 def _h1_runs(g, m):
     """Runs of the sum of l_a * L^{m a} over a = 0..2g, one term each."""
     for a in range(0, 2 * g + 1):
         mono, off = _basis_row(g, a)
-        yield mono, off + m * a, 1
+        yield mono, off + m * a, 1, 1
 
 
 def _sym_runs(g, k, shift=0):
@@ -60,7 +41,7 @@ def _sym_runs(g, k, shift=0):
     the L-offset of l_b, and rows b > g share their monomial with row 2g-b."""
     for b in range(0, min(k, 2 * g) + 1):
         mono, off = _basis_row(g, b)
-        yield mono, off + shift, k - b + 1
+        yield mono, off + shift, k - b + 1, 1
 
 
 def sym_power_class(ctx, k: int) -> MotiveSeries:
@@ -132,9 +113,8 @@ def zeta_at_lefschetz(ctx, i: int) -> MotiveSeries:
     w = ctx.window
 
     def runs():
-        # term k, supported on [ik, ik+k], is added while its end nearest the
-        # exact end lies in the window; what passes the free end is truncated,
-        # support past the exact end refused (as by MotiveSeries), never dropped
+        # term k, on [ik, ik+k], is added while its end nearest the exact end
+        # lies in the window; the span rule truncates or refuses the rest
         k = 0
         while min(w.slot(i * k), w.slot(i * k + k)) <= w.hi - w.lo:
             yield from _sym_runs(ctx.g, k, i * k)

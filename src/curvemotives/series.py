@@ -12,10 +12,9 @@ to a finite exponent window.  Two truncation modes exist and never mix:
 * DIMENSIONAL: the mirror image.  The window ceiling is the hard support
   bound and tails toward -infinity are discarded.
 
-Exterior powers above the middle degree are rewritten on construction: the
-class in degree g+d equals the class in degree g-d times L^d.  Arithmetic
-therefore happens entirely in the canonical basis l1..lg, which is closed
-under all ring operations.
+Exterior powers above the middle degree are rewritten on construction into
+the canonical basis l1..lg (``_basis_row``), which is closed under all ring
+operations.
 
 A window [lo, hi] is read in slots from its exact end: slot s is L^(lo+s)
 in ADIC mode and L^(hi-s) in DIMENSIONAL mode (``TruncationWindow.slot``),
@@ -36,16 +35,28 @@ sum per monomial, shift a bit shift, the cut to a validity range a mask
 with a sign fix (or a right shift with a borrow fix), and a division by a
 unit one exact integer division per monomial.
 
+Both constructors read runs (monomial, e0, length, c), c on each of L^e0 ..
+L^(e0+length-1): the terms of ``MotiveSeries`` are runs of length one, the
+closed forms of ``_run_class`` runs of ones.  One span rule maps a run to
+slots s0 .. s1-1, cuts it at the free end (dropping it past there) and, in
+input order, refuses one that reaches past the exact end.  One packing rule
+writes a span as c (B^s1 - B^s0) / (B - 1), B = 2^W: each monomial's
+numerators are summed and divided once, exactly, as ``div_unit`` divides.
+
 The slot width is never fixed.  Each series carries a proven bound on the
 absolute value of its coefficients, and W is the smallest multiple of 24
 that holds the bound and a sign bit: whole bytes, so that digits split and
 repack through bytes, and narrow, because a product costs more per bit of
-its factors.  Each operation derives the bound of its result before any
-arithmetic: B_x + |n| B_y for x + n y, B_x B_y min(T_x, T_y) for a product,
-with T the number of slots each monomial spans summed over the monomials
-(no output coefficient sums more pairs of terms than either factor has
-terms), and B ceil(n/i) for a division by a unit over n output slots.  An
-operand whose slots are narrower than the result's is repacked first.
+its factors.  The bound of a construction is max |c| for terms, which never
+share a slot, and the largest sum of |c| over the runs of one monomial for
+runs, which may overlap; summed over terms, the bound would grow with the
+terms of a monomial, and with it the slot width.  Each operation derives
+the bound of its result before any arithmetic: B_x + |n| B_y for x + n y,
+B_x B_y min(T_x, T_y) for a product, with T the number of slots each
+monomial spans summed over the monomials (no output coefficient sums more
+pairs of terms than either factor has terms), and B ceil(n/i) for a
+division by a unit over n output slots.  An operand whose slots are
+narrower than the result's is repacked first.
 
 CoeffPoly stays the public coefficient type: ``coeffs``, ``coefficient``,
 ``items``, the witnesses of ``equals`` and the JSON form decode the packed
@@ -179,20 +190,6 @@ def _digits(v, width, n):
     return [int.from_bytes(raw[j:j + k], "little") - half for j in range(0, n * k, k)]
 
 
-def _pack(digits, width):
-    """The int of the balanced digits {slot: digit}; inverse of _digits.
-    Each digit is written in two's complement, and a negative one then
-    takes its borrow from the slot above."""
-    k, mask = width // 8, (1 << width) - 1
-    size = (max(digits) + 2) * k
-    raw, borrow = bytearray(size), bytearray(size)
-    for s, d in digits.items():
-        raw[s * k:s * k + k] = (d & mask).to_bytes(k, "little")
-        if d < 0:
-            borrow[s * k + k] = 1
-    return int.from_bytes(raw, "little") - int.from_bytes(borrow, "little")
-
-
 def _repack(packed, width, new_width, n):
     """The ints of ``packed``, of n slots each, with every digit moved into
     a slot of ``new_width`` bits (new_width > width)."""
@@ -224,9 +221,11 @@ def _drop(v, bits):
 # The texts of the errors for support pushed past the exact end, per mode.
 _PAST_EXACT_END = {
     Mode.ADIC: {"support": "support at L^%d below the adic window floor %d",
+                "pinned": "valid_lo %d lies above the adic window floor %d",
                 "product": "product support would start below the window floor",
                 "shift": "shift pushes support below the window floor"},
     Mode.DIMENSIONAL: {"support": "support at L^%d above the dimensional ceiling %d",
+                       "pinned": "valid_hi %d lies below the dimensional window ceiling %d",
                        "product": "product support would pass the window ceiling",
                        "shift": "shift pushes support above the window ceiling"},
 }
@@ -235,6 +234,33 @@ _PAST_EXACT_END = {
 def _exact_end_error(ctx, e):
     """The error for support at L^e beyond the exact end of the window."""
     return ValueError(_PAST_EXACT_END[ctx.mode]["support"] % (e, ctx.window.exponent(0)))
+
+
+def _spans(ctx, runs, far):
+    """The span rule (see the module docstring): the spans (monomial, s0, s1,
+    c) of the runs, cut at slot ``far``; the error names a run's lowest
+    exponent past the exact end."""
+    w = ctx.window
+    o, d = w.slot(0), w.slot(1) - w.slot(0)  # slot(e) = o + d e
+    back = d < 0  # slots run against the exponents: a run's last one is nearest
+    spans, end = [], far + 1
+    for mono, e0, length, c in runs:
+        s0 = o + d * e0 - back * (length - 1)
+        if s0 < 0:
+            raise _exact_end_error(ctx, w.exponent(min(w.slot(e0), -1)))
+        if s0 < end:
+            spans.append((mono, s0, min(s0 + length, end), c))
+    return spans
+
+
+def _pack_spans(spans, bound):
+    """(packed ints, slot width) of the spans by the packing rule (see the
+    module docstring), at the width of ``bound``."""
+    width, num = _width(bound), {}
+    for mono, s0, s1, c in spans:
+        num[mono] = num.get(mono, 0) + (c << s1 * width) - (c << s0 * width)
+    unit = (1 << width) - 1
+    return {mono: v // unit for mono, v in num.items()}, width
 
 
 class CoeffPoly:
@@ -343,12 +369,10 @@ class MotiveSeries:
     docstring); every coefficient is at most ``bound`` in absolute value,
     and ``width`` is the width of that bound; ``shape`` caches the occupied
     slots (see ``_shape``).  ``coeffs`` is the decoded view
-    {exponent: CoeffPoly}.  Constructing with support past the exact end of
-    the window (below the floor in ADIC mode, above the ceiling in
-    DIMENSIONAL mode) is an error -- that end is a hard support bound, not
-    a truncation -- while support beyond the free end is discarded, which
-    is what truncation means.  Of ``valid_lo`` and ``valid_hi`` only the
-    free end is read; the exact end is pinned.
+    {exponent: CoeffPoly}.  The constructor follows the span rule of the
+    module docstring.  Of ``valid_lo`` and ``valid_hi`` the free end may
+    narrow the validity range; the exact end is pinned, so a value for it
+    above the floor (ADIC) or below the ceiling (DIMENSIONAL) is an error.
 
     As with CoeffPoly, only the public constructor validates; the ring
     operations build their results through ``_trusted``.
@@ -358,30 +382,22 @@ class MotiveSeries:
 
     def __init__(self, ctx, coeffs=None, valid_lo=None, valid_hi=None):
         w = ctx.window
-        free, top = (valid_hi if ctx.mode is Mode.ADIC else valid_lo), w.hi - w.lo
+        free, pinned = (valid_hi, valid_lo) if ctx.mode is Mode.ADIC else (valid_lo, valid_hi)
+        if pinned is not None and w.slot(pinned) > 0:
+            raise ValueError(_PAST_EXACT_END[ctx.mode]["pinned"] % (pinned, w.exponent(0)))
+        top = w.hi - w.lo
         far = top if free is None else min(w.slot(free), top)
         if far < 0:
             raise ValueError("series with empty validity range")
-        o, d = w.slot(0), w.slot(1) - w.slot(0)  # slot(e) = o + d e
-        rows, bound = {}, 0  # rows: {monomial: {slot: coefficient}}
-        if coeffs:
-            for e, p in coeffs.items():
-                if isinstance(p, int):
-                    p = CoeffPoly.constant(ctx.g, p)
-                if p.g != ctx.g:
-                    raise ValueError("coefficient over g=%d in a g=%d context" % (p.g, ctx.g))
-                if not p:
-                    continue
-                s = o + d * e
-                if s < 0:
-                    raise _exact_end_error(ctx, e)
-                if s > far:
-                    continue
-                for mono, c in p.terms.items():
-                    rows.setdefault(mono, {})[s] = c
-                    bound = max(bound, abs(c))
-        width = _width(bound)
-        packed = {mono: _pack(row, width) for mono, row in rows.items()}
+        runs = []
+        for e, p in (coeffs or {}).items():
+            p = CoeffPoly.constant(ctx.g, p) if isinstance(p, int) else p
+            if p.g != ctx.g:
+                raise ValueError("coefficient over g=%d in a g=%d context" % (p.g, ctx.g))
+            runs += [(mono, e, 1, c) for mono, c in p.terms.items()]
+        spans = _spans(ctx, runs, far)
+        bound = max([abs(span[3]) for span in spans], default=0)
+        packed, width = _pack_spans(spans, bound)
         self.ctx, self.packed, self.width, self.bound, self.far = ctx, packed, width, bound, far
         self.shape = None
 
@@ -520,7 +536,7 @@ class MotiveSeries:
             assert type(v) is int and v != 0
             assert abs(v).bit_length() < n * width  # nothing past the last slot
             digits = _digits(v, width, n)
-            assert _pack(dict(enumerate(digits)), width) == v
+            assert sum(c << s * width for s, c in enumerate(digits)) == v
             assert all(abs(c) <= self.bound for c in digits)
         return True
 
@@ -781,21 +797,26 @@ def lefschetz_power(ctx, e: int) -> MotiveSeries:
                          % (e, ctx.window.lo, ctx.window.hi))
     return MotiveSeries(ctx, {e: CoeffPoly.one(ctx.g)})
 
-def lambda_class(ctx, a: int) -> MotiveSeries:
-    """The a-th exterior power of the degree-one cohomology, 0 <= a <= 2g.
 
-    Indices above g are rewritten on the spot: the degree-(g+d) class equals
-    the degree-(g-d) class times L^d.
-    """
+def _basis_row(g, b):
+    """The canonical form of the degree-b exterior power, 0 <= b <= 2g, as
+    (monomial, L-offset): l_b itself up to the middle degree, and
+    l_{g+d} = l_{g-d} L^d above it."""
+    c, off = (b, 0) if b <= g else (2 * g - b, b - g)
+    mono = [0] * g
+    if c:
+        mono[c - 1] = 1
+    return tuple(mono), off
+
+
+def lambda_class(ctx, a: int) -> MotiveSeries:
+    """The a-th exterior power of the degree-one cohomology, 0 <= a <= 2g,
+    in its canonical form (see ``_basis_row``)."""
     g = ctx.g
     if a < 0 or a > 2 * g:
         raise ValueError("exterior power index %d outside [0, %d]" % (a, 2 * g))
-    if a <= g:
-        b, e = a, 0
-    else:
-        b, e = 2 * g - a, a - g
-    mono = tuple(1 if i == b - 1 else 0 for i in range(g))
-    return MotiveSeries(ctx, {e: CoeffPoly.single(g, mono)})
+    mono, off = _basis_row(g, a)
+    return _run_class(ctx, [(mono, off, 1, 1)])
 
 
 def geom_unit_inverse(ctx, i: int, sign: UnitSign) -> MotiveSeries:
@@ -820,32 +841,16 @@ def geom_unit_inverse(ctx, i: int, sign: UnitSign) -> MotiveSeries:
 
 
 def _run_class(ctx, runs):
-    """The class with a one at L^e0 .. L^(e0+length-1) in the monomial of
-    each run (monomial, e0, length), the runs summed, valid on the whole
-    window.  Each run is packed as a repunit.  Support beyond the exact end
-    raises the constructor's error for the run's lowest such exponent, in
-    the order of the runs; support beyond the free end is truncated."""
-    w = ctx.window
-    top = w.hi - w.lo  # the last slot
-    o, d = w.slot(0), w.slot(1) - w.slot(0)  # slot(e) = o + d e
-    back = d < 0  # slots run against the exponents: a run's last one is nearest
-    spans, count = [], {}
-    for mono, e0, length in runs:
-        s0 = o + d * e0 - back * (length - 1)
-        s1 = s0 + length - 1
-        if s0 < 0:
-            raise _exact_end_error(ctx, w.exponent(min(w.slot(e0), -1)))
-        if s1 > top:
-            s1 = top
-        if s0 <= s1:
-            spans.append((mono, s0, s1 - s0 + 1))
-            count[mono] = count.get(mono, 0) + 1
-    bound = max(count.values(), default=0)  # runs of one monomial may overlap
-    width = _width(bound)
-    packed = {}
-    for mono, s0, length in spans:
-        packed[mono] = packed.get(mono, 0) + (_fill(1, width // 8, length) << (s0 * width))
-    return MotiveSeries._trusted(ctx, packed, width, bound, top)
+    """The class with c at L^e0 .. L^(e0+length-1) in the monomial of each
+    run (monomial, e0, length, c), the runs summed, valid on the whole
+    window: the span rule and the packing rule of the constructor."""
+    top = ctx.window.hi - ctx.window.lo
+    spans = _spans(ctx, runs, top)
+    total = {}
+    for mono, _, _, c in spans:
+        total[mono] = total.get(mono, 0) + abs(c)
+    bound = max(total.values(), default=0)
+    return MotiveSeries._trusted(ctx, *_pack_spans(spans, bound), bound, top)
 
 
 def equals(x: MotiveSeries, y) -> Comparison:

@@ -373,6 +373,24 @@ def test_run_suite_runs_each_genus_once():
     assert [(r.check, r.genus) for r in run_suite([2, 2], ["rank2"])] == [("rank2", 2)]
 
 
+def test_run_suite_runs_each_check_once():
+    reports = run_suite([2], ["rank2", "symmpro", "rank2"])
+    assert [(r.check, r.genus) for r in reports] == [("rank2", 2), ("symmpro", 2)]
+    obj = reports_to_json(reports, [2], ["rank2", "symmpro", "rank2"])
+    assert obj["config"]["checks"] == ["rank2", "symmpro"]
+
+
+def test_cli_verify_runs_each_check_once(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["verify", "--genus", "2", "--checks", "rank2", "rank2",
+                 "--json", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in out[:-1]] == ["rank2"]
+    assert out[-1] == "1 passed, 0 flagged, 0 failed"
+    obj = json.loads(path.read_text())
+    assert obj["summary"]["pass"] == 1 and obj["config"]["checks"] == ["rank2"]
+
+
 def test_cli_verify_rejects_bad_worker_counts(monkeypatch, capsys):
     base = ["verify", "--genus", "2", "--checks", "rank2"]
     for extra, env in ((["--workers", "0"], None), (["--workers", "-3"], None),
@@ -464,6 +482,31 @@ def test_cli_realize_count_genus_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
+# each bad --counts file and the reason its usage error gives
+BAD_COUNTS = [
+    (None, "No such file or directory"),
+    ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ('{"counts": [4, 10]}', "missing key 'q'"),
+    ('{"q": 1, "counts": [4, 6]}', "q must be a prime power >= 2, got 1"),
+    ('{"q": 3, "counts": [4, -6]}', "point counts must be nonnegative integers"),
+    ('{"q": 3, "counts": [4, 11]}', "counts [4, 11] over q=3 are not the counts of a curve "
+                                    "(non-integral class at weight 2)"),
+]
+
+
+@pytest.mark.parametrize("text,reason", BAD_COUNTS)
+def test_cli_realize_bad_counts_file_is_a_usage_error(text, reason, tmp_path, capsys):
+    path = tmp_path / "counts.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["realize", "--target", "count", "--class", "jac", "--genus", "2",
+              "--counts", str(path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "curve-motives: error: bad --counts file %s: %s" % (path, reason))
+
+
 # sha256 of the `verify --genus ... --json` report with every wall_time set
 # to 0; an optimisation must leave the report byte-identical.  At genus 4 and
 # 5 most of the work is products with integer-coefficient factors.  The
@@ -516,3 +559,18 @@ def test_verify_json_report_is_frozen_at_genus_4_5(tmp_path, capsys):
     assert masked == REPORT_DIGEST_GENUS_4_5
     assert full == REPORT_DIGEST_GENUS_4_5_WINDOWED
     assert windows == {4: [0, 31], 5: [0, 41]}
+
+
+# the same digest (every wall_time zeroed) of `verify --genus 2 3` on two
+# other windows: a floor below 0 moves slot 0 of every adic series below L^0,
+# and a higher ceiling adds slots at the free end
+REPORT_DIGEST_WINDOW = {
+    ("-3", "30"): "e8240295b817ea37f75aa0932f19022fb1204c9bd3c1375c001a4e99c861a0ae",
+    ("0", "40"): "ff200217fa9e790675f0e7c1a1c4689b619babe170ebc8d9ef5111d5d093b51e",
+}
+
+
+@pytest.mark.parametrize("window", sorted(REPORT_DIGEST_WINDOW))
+def test_verify_json_report_is_frozen_on_other_windows(window, tmp_path, capsys):
+    full, _, _ = _report_digests(tmp_path, capsys, ["2", "3", "--window", *window])
+    assert full == REPORT_DIGEST_WINDOW[window]

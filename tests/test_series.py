@@ -15,6 +15,7 @@ from curvemotives.series import (
     MotiveSeries,
     TruncationWindow,
     UnitSign,
+    _run_class,
     equals,
     geom_unit_inverse,
     lambda_class,
@@ -217,6 +218,12 @@ def _outcome(fn):
         return None, str(exc)
 
 
+def _free_end(mode, valid_lo, valid_hi):
+    """The validity bound of the free end only: the exact end of a series
+    is the window's."""
+    return {"valid_hi": valid_hi} if mode is Mode.ADIC else {"valid_lo": valid_lo}
+
+
 def _div_unit_outcomes(x, i):
     sign = UnitSign.ONE_MINUS_L_I if x.mode is Mode.ADIC else UnitSign.L_I_MINUS_ONE
     want = _outcome(lambda: x * geom_unit_inverse(x.ctx, i, sign))
@@ -238,7 +245,8 @@ def _division_cases(draw):
         coeffs[e] = CoeffPoly.single(2, mono, draw(st.integers(-3, 3)))
     valid_lo = draw(st.integers(lo, hi))
     valid_hi = draw(st.integers(valid_lo, hi))
-    return MotiveSeries(ctx, coeffs, valid_lo, valid_hi), draw(st.integers(1, 6))
+    return (MotiveSeries(ctx, coeffs, **_free_end(mode, valid_lo, valid_hi)),
+            draw(st.integers(1, 6)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -265,7 +273,7 @@ def test_div_unit_edge_windows(mode, lo, hi, raises):
     mid = (lo + hi) // 2
     x = MotiveSeries(ctx, {lo if mode is Mode.ADIC else hi: CoeffPoly.one(2),
                            mid: CoeffPoly.single(2, (1, 0), 2)},
-                     valid_lo=lo + 1, valid_hi=hi - 1)  # each mode pins its hard end
+                     **_free_end(mode, lo + 1, hi - 1))  # each mode pins its hard end
     for i in range(0, 7):
         got, want = _div_unit_outcomes(x, i)
         assert got == want
@@ -368,7 +376,8 @@ def _series_pairs(draw):
                                                         max_size=3)))
                   for e in draw(st.lists(st.integers(lo, hi), max_size=5))}
         valid_lo = draw(st.integers(lo, hi))
-        out.append(MotiveSeries(ctx, coeffs, valid_lo, draw(st.integers(valid_lo, hi))))
+        out.append(MotiveSeries(ctx, coeffs,
+                                **_free_end(mode, valid_lo, draw(st.integers(valid_lo, hi)))))
     return out[0], out[1], draw(st.integers(1, 5))
 
 
@@ -442,7 +451,8 @@ def _product_cases(draw):
         coeff = kinds[draw(st.sampled_from(sorted(kinds)))]
         coeffs = {e: draw(coeff) for e in draw(st.lists(st.integers(lo, hi), max_size=6))}
         valid_lo = draw(st.integers(lo, hi))
-        out.append(MotiveSeries(ctx, coeffs, valid_lo, draw(st.integers(valid_lo, hi))))
+        out.append(MotiveSeries(ctx, coeffs,
+                                **_free_end(mode, valid_lo, draw(st.integers(valid_lo, hi)))))
     return out[0], out[1]
 
 
@@ -548,14 +558,14 @@ def _kernel_cases(draw):
         valid_lo = draw(st.integers(lo, hi))
         return valid_lo, draw(st.integers(valid_lo, hi))
 
-    x = MotiveSeries(ctx, coeffs, *validity())
+    x = MotiveSeries(ctx, coeffs, **_free_end(mode, *validity()))
     kind = draw(st.sampled_from(["new", "copy", "negated"]))
     if kind == "new":
         coeffs = {e: CoeffPoly(g, draw(st.dictionaries(mono, _COEFFICIENT, max_size=3)))
                   for e in draw(st.lists(st.integers(lo, hi), max_size=6))}
     elif kind == "negated":
         coeffs = {e: -p for e, p in coeffs.items()}
-    y = MotiveSeries(ctx, coeffs, *validity())
+    y = MotiveSeries(ctx, coeffs, **_free_end(mode, *validity()))
     return x, y, draw(st.integers(1, 5)), draw(st.integers(-4, 4)), draw(st.integers(lo, hi))
 
 
@@ -675,3 +685,164 @@ def test_coefficients_past_a_slot():
         assert y.div_unit(1) == _mul_reference(y, geom_unit_inverse(ctx, 1, sign))
         assert y + y == _plus_reference(y, y, 1) and y - (-y) == y + y
         assert y * y == _mul_reference(y, y) and y * 3 == _scaled_reference(y, 3)
+
+
+# -- the two constructors against per-slot references ----------------------
+
+
+_SIGNED = lambda n: st.sampled_from([n, -n])
+_WIDE = st.integers(2 ** 23, 2 ** 40).flatmap(_SIGNED)  # 48-bit slots
+_WIDER = st.integers(2 ** 47, 2 ** 64).flatmap(_SIGNED)  # 72-bit slots
+
+
+def _past_exact_end(ctx, e):
+    return ctx.window.slot(e) < 0
+
+
+def _exact_end_text(ctx, e):
+    w = ctx.window
+    if ctx.mode is Mode.ADIC:
+        return "support at L^%d below the adic window floor %d" % (e, w.lo)
+    return "support at L^%d above the dimensional ceiling %d" % (e, w.hi)
+
+
+@st.composite
+def _construction_cases(draw):
+    """A window with its floor in [-8, 2], coefficients (zero, int or
+    CoeffPoly, below 2^95 in absolute value) on exponents in and around it,
+    the exact-end argument at or beyond the exact end (or absent) and the
+    free-end argument anywhere (or absent)."""
+    mode = draw(st.sampled_from([Mode.ADIC, Mode.DIMENSIONAL]))
+    g = draw(st.integers(2, 3))
+    lo = draw(st.integers(-8, 2))
+    hi = lo + draw(st.integers(0, 12))
+    ctx = GenusContext(g, TruncationWindow(lo, hi, mode))
+    size = draw(st.sampled_from([_COEFFICIENT, _WIDE, _WIDER]))
+    mono = st.tuples(*[st.integers(0, 2)] * g)
+    coeff = st.one_of(st.just(0), st.just(CoeffPoly.zero(g)), size,
+                      st.dictionaries(mono, size, max_size=3).map(lambda t: CoeffPoly(g, t)))
+    coeffs = {}
+    for e in draw(st.lists(st.integers(lo - 3, hi + 3), max_size=7)):
+        coeffs[e] = draw(coeff)
+    exact = lo if mode is Mode.ADIC else hi
+    pinned = draw(st.one_of(st.none(), st.just(exact),
+                            st.integers(1, 4).map(lambda k: exact - k if mode is Mode.ADIC
+                                                  else exact + k)))
+    free = draw(st.one_of(st.none(), st.integers(lo - 2, hi + 2)))
+    bounds = {"valid_lo": pinned, "valid_hi": free}
+    if mode is Mode.DIMENSIONAL:
+        bounds = {"valid_lo": free, "valid_hi": pinned}
+    return ctx, coeffs, bounds
+
+
+def _construction_reference(ctx, coeffs, bounds):
+    """(validity range, {exponent: CoeffPoly}, bound) of a construction,
+    term by term, or raises its ValueError."""
+    w = ctx.window
+    if ctx.mode is Mode.ADIC:
+        vlo, vhi = w.lo, min(w.hi, w.hi if bounds["valid_hi"] is None else bounds["valid_hi"])
+    else:
+        vlo, vhi = max(w.lo, w.lo if bounds["valid_lo"] is None else bounds["valid_lo"]), w.hi
+    if vlo > vhi:
+        raise ValueError("series with empty validity range")
+    kept, bound = {}, 0
+    for e, p in coeffs.items():
+        if isinstance(p, int):
+            p = CoeffPoly.constant(ctx.g, p)
+        if not p:
+            continue
+        if _past_exact_end(ctx, e):
+            raise ValueError(_exact_end_text(ctx, e))
+        if vlo <= e <= vhi:
+            kept[e] = p
+            bound = max([bound] + [abs(c) for c in p.terms.values()])
+    return (vlo, vhi), {e: kept[e] for e in sorted(kept)}, bound
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_construction_cases())
+def test_constructor_matches_a_per_slot_reference(case):
+    # decoded coefficients and validity range, the exact-end error of the
+    # first offending exponent in input order, and the bound max |c|
+    ctx, coeffs, bounds = case
+    got = _outcome(lambda: MotiveSeries(ctx, coeffs, **bounds))
+    want = _outcome(lambda: _construction_reference(ctx, coeffs, bounds))
+    assert got[1] == want[1]
+    if got[0] is not None:
+        s, (valid, kept, bound) = got[0], want[0]
+        assert ((s.valid_lo, s.valid_hi), s.coeffs, s.bound) == (valid, kept, bound)
+        assert s.validate()
+
+
+@st.composite
+def _run_cases(draw):
+    """Runs of ones on a window with its floor in [-8, 2], from few
+    monomials so that they overlap: most runs end on the exact-end side
+    inside the window (and may be cut by the free end), some lie past the
+    free end and some reach past the exact end."""
+    mode = draw(st.sampled_from([Mode.ADIC, Mode.DIMENSIONAL]))
+    g = draw(st.integers(2, 3))
+    lo = draw(st.integers(-8, 2))
+    hi = lo + draw(st.integers(0, 12))
+    ctx = GenusContext(g, TruncationWindow(lo, hi, mode))
+    w = ctx.window
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 2)] * g), min_size=1, max_size=3))
+    runs = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.integers(1, 9))
+        where = draw(st.sampled_from(["inside"] * 6 + ["free", "exact"]))
+        slot = {"inside": st.integers(0, hi - lo), "free": st.integers(hi - lo + 1, hi - lo + 4),
+                "exact": st.integers(-4, -1)}[where]
+        near = w.exponent(draw(slot))  # the exponent of the run nearest the exact end
+        runs.append((draw(st.sampled_from(monos)),
+                     near if mode is Mode.ADIC else near - length + 1, length))
+    return ctx, runs
+
+
+def _run_reference(ctx, runs):
+    """(the sum of one construction per exponent of each run, in order,
+    the largest number of runs of one monomial that reach the window)."""
+    g, total, count = ctx.g, MotiveSeries(ctx), {}
+    for mono, e0, length in runs:
+        exponents = range(e0, e0 + length)
+        for e in exponents:
+            total = total + MotiveSeries(ctx, {e: CoeffPoly.single(g, mono)})
+        if any(ctx.window.contains(e) for e in exponents):
+            count[mono] = count.get(mono, 0) + 1
+    return total, max(count.values(), default=0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_run_cases())
+def test_run_class_matches_per_exponent_constructions(case):
+    # the same class on the whole window, the exact-end error of the first
+    # run in input order (its lowest exponent past that end), and the bound
+    # the run count of the monomial with most runs
+    ctx, runs = case
+    got = _outcome(lambda: _run_class(ctx, [(m, e0, n, 1) for m, e0, n in runs]))
+    want = _outcome(lambda: _run_reference(ctx, runs))
+    assert got[1] == want[1]
+    if got[0] is not None:
+        s, (total, bound) = got[0], want[0]
+        assert s == total and s.bound == bound
+        assert (s.valid_lo, s.valid_hi) == (ctx.window.lo, ctx.window.hi)
+        assert s.validate()
+
+
+def test_constructor_refuses_a_bound_inward_of_the_exact_end():
+    # a series is exact from the window floor (adic) or ceiling
+    # (dimensional) on, so it cannot take a validity range that starts
+    # above that floor or below that ceiling; a bound at or beyond that end
+    # means the whole window
+    with pytest.raises(ValueError, match=r"^valid_lo 3 lies above the adic window floor 0$"):
+        MotiveSeries(GenusContext.adic(2, hi=10), {0: 1}, valid_lo=3)
+    with pytest.raises(ValueError,
+                       match=r"^valid_hi -5 lies below the dimensional window ceiling 11$"):
+        MotiveSeries(GenusContext.dimensional(2), {0: 1}, valid_hi=-5)
+    for ctx, bounds in ((GenusContext.adic(2, hi=10), {"valid_lo": 0}),
+                        (GenusContext.adic(2, hi=10), {"valid_lo": -4}),
+                        (GenusContext.dimensional(2), {"valid_hi": 11}),
+                        (GenusContext.dimensional(2), {"valid_hi": 15})):
+        s = MotiveSeries(ctx, {0: 1}, **bounds)
+        assert (s.valid_lo, s.valid_hi) == (ctx.window.lo, ctx.window.hi)
+        assert s.coefficient(0) == 1
