@@ -63,6 +63,12 @@ def _cmd_verify(parser, args):
         parser.error(str(exc))
     if not tasks:
         parser.error("selected checks do not apply to any requested genus")
+    if args.json:
+        try:  # probed before any check runs; append mode keeps an old report
+            with open(args.json, "a"):
+                pass
+        except OSError as exc:
+            parser.error("cannot write --json file %s: %s" % (args.json, exc.strerror))
     reports = run_suite(args.genus, args.checks, window=args.window, workers=workers)
     for r in reports:
         win = "window=[%d,%d] " % tuple(r.window) if r.window else ""
@@ -119,6 +125,8 @@ def _read_counts(parser, path):
 def _cmd_realize(parser, args):
     if args.genus < 2:
         parser.error("genus must be >= 2")
+    if args.counts and args.target != "count":
+        parser.error("--counts is read only with --target count")
     ctx = GenusContext.adic(args.genus)
     name = args.cls
     if name == "m2":

@@ -4,12 +4,14 @@ symmetric-power decompositions, the composition-indexed inversion formula,
 and the dimensional-mode counterparts of all of it.
 
 Throughout, the stack of rank-r bundles with fixed determinant of odd degree
-has class  prod_{i=1}^{r-1} Z(C, L^i)  in adic mode and
-L^{(r^2-1)(g-1)} prod_{i=2}^{r} Z(C, L^{-i})  in dimensional mode; the
-unstable locus is removed stratum by stratum.  One builder,
-_moduli_class, makes both adic moduli classes; the unstable rank-3
-correction is built in its reduced form only (the rank3 check compares
-the raw Harder-Narasimhan sum with the stack minus m3_chi).
+has class  prod_{j=1}^{r-1} Z(C, L^j), which in dimensional mode stands for
+L^{(2j+1)(g-1)} Z(C, L^{-(j+1)}), the same rational function expanded
+against the units L^i - 1; the unstable locus is removed stratum by stratum.
+The stack, both Harder-Narasimhan terms and the rank-2 stratum are each
+stated once for both completions.  One builder, _moduli_class, makes both
+adic moduli classes; the unstable rank-3 correction is built in its reduced
+form only (the rank3 check compares the raw Harder-Narasimhan sum with the
+stack minus m3_chi).
 """
 
 from __future__ import annotations
@@ -72,14 +74,9 @@ __all__ = [
 ]
 
 
-def _require_adic(ctx):
-    if ctx.mode is not Mode.ADIC:
-        raise ValueError("this construction lives in the adic completion")
-
-
-def _require_dimensional(ctx):
-    if ctx.mode is not Mode.DIMENSIONAL:
-        raise ValueError("this construction lives in the dimensional completion")
+def _require(ctx, mode):
+    if ctx.mode is not mode:
+        raise ValueError("this construction lives in the %s completion" % mode.value)
 
 
 def _require_rank(r):
@@ -87,28 +84,70 @@ def _require_rank(r):
         raise ValueError("rank must be 2 or 3, got %d" % r)
 
 
+# -- the formulas both completions share -----------------------------------
+
+
+def _zeta_numerator(ctx, j):
+    """Z(C, L^j) = L^s N / ((1-L^j)(1-L^{j+1})) as (N, s), j >= 1.  In adic
+    mode N = (1+L^j)^{h1} and s = 0.  In dimensional mode the class is
+    L^{(2j+1)(g-1)} Z(C, L^{-(j+1)}), the adic formula at j = i - 1, with
+    N = sum_a l_a L^{-(j+1)a} and s = (2j+1)g."""
+    if ctx.mode is Mode.ADIC:
+        return binomial_h1_series(ctx, j), 0
+    return binomial_h1_series(ctx, -(j + 1)), (2 * j + 1) * ctx.g
+
+
+def _stack(ctx, r):
+    """prod_{j<r} Z(C, L^j): the product of the numerators, divided by the
+    units, then shifted (the shifted numerators would pass the dimensional
+    ceiling)."""
+    out, s = _zeta_numerator(ctx, 1)
+    for j in range(2, r):
+        n, t = _zeta_numerator(ctx, j)
+        out, s = out * n, s + t
+    for j in range(1, r):
+        out = out.div_unit(j).div_unit(j + 1)
+    return out.shift(s) if s else out
+
+
+def _unstable_rank2(ctx, mode):
+    """[J] L^g / ((1-L)(1-L^2)), in a context of the given mode."""
+    _require(ctx, mode)
+    return jacobian_class(ctx).div_unit(1).div_unit(2).shift(ctx.g)
+
+
+def _hn_linear(ctx):
+    """The linear Harder-Narasimhan term L^{2g-1}(1+L)/((1-L)(1-L^3)) [J] Z(C, L),
+    with Z(C, L) through its numerator: every product is with a finite
+    class, and the units are divided out last."""
+    n, s = _zeta_numerator(ctx, 1)
+    return (((one(ctx) + lefschetz_power(ctx, 1)) * jacobian_class(ctx) * n)
+            .div_unit(1).div_unit(3).div_unit(1).div_unit(2).shift(2 * ctx.g - 1 + s))
+
+
+def _hn_quadratic(ctx):
+    """The quadratic Harder-Narasimhan term L^{3g-1} [J]^2 / ((1-L)^2(1-L^2)^2).
+    The factor order is that of the expanded product: in dimensional mode
+    the validity floor of a product depends on it."""
+    jac = jacobian_class(ctx)
+    return (one(ctx).div_unit(1).div_unit(1).div_unit(2).div_unit(2)
+            * jac * jac).shift(3 * ctx.g - 1)
+
+
 # -- adic-mode pipelines ---------------------------------------------------
 
 
 def bun_chi(ctx, r: int) -> MotiveSeries:
     """Class of the stack of rank-r bundles with fixed odd-degree determinant:
-    the product of the zeta evaluations at L^1 .. L^{r-1}, built as the
-    product of their numerators (1+L^i)^{h1} divided by the units."""
-    _require_adic(ctx)
+    the product of the zeta evaluations at L^1 .. L^{r-1} (see _stack)."""
+    _require(ctx, Mode.ADIC)
     _require_rank(r)
-    out = binomial_h1_series(ctx, 1)
-    for i in range(2, r):
-        out = out * binomial_h1_series(ctx, i)
-    for i in range(1, r):
-        out = out.div_unit(i).div_unit(i + 1)
-    return out
+    return _stack(ctx, r)
 
 
 def unstable_rank2_chi(ctx) -> MotiveSeries:
     """Unstable rank-2 stratum: [J] L^g / ((1-L)(1-L^2))."""
-    _require_adic(ctx)
-    g = ctx.g
-    return jacobian_class(ctx).div_unit(1).div_unit(2).shift(g)
+    return _unstable_rank2(ctx, Mode.ADIC)
 
 
 def rank2_min_ceiling(g):
@@ -126,7 +165,7 @@ def _moduli_class(ctx, r, min_ceiling, unstable):
     unstable strata.  It is a polynomial supported up to min_ceiling(g) - 1;
     that vanishing is re-verified on the whole window, whose ceiling must
     pass it (else the check would see nothing), before returning."""
-    _require_adic(ctx)
+    _require(ctx, Mode.ADIC)
     need = min_ceiling(ctx.g)
     if ctx.window.hi < need:
         raise ValueError("window ceiling %d does not pass the support bound %d "
@@ -180,19 +219,10 @@ def unstable_rank3_chi(ctx) -> MotiveSeries:
         L^{2g-1}(1+L)/((1-L)(1-L^3)) * [J] Z(C,L)
         - L^{3g-1}/((1-L)^2(1-L^2)^2) * [J]^2
 
-    Z(C,L) enters through its numerator (1+L)^{h1}: every product is with a
-    finite class, and the units are divided out with div_unit.  The rank3
-    check compares the raw form, _unstable_rank3_raw, with the stack minus
-    m3_chi, which is this form."""
-    _require_adic(ctx)
-    g = ctx.g
-    jac = jacobian_class(ctx)
-    h1 = binomial_h1_series(ctx, 1)  # Z(C,L) (1-L)(1-L^2)
-    lin = (((one(ctx) + lefschetz_power(ctx, 1)) * jac * h1)
-           .div_unit(1).div_unit(3).div_unit(1).div_unit(2).shift(2 * g - 1))
-    quad = ((jac * jac).div_unit(1).div_unit(1).div_unit(2).div_unit(2)
-            .shift(3 * g - 1))
-    return lin - quad
+    (_hn_linear and _hn_quadratic).  The rank3 check compares the raw form,
+    _unstable_rank3_raw, with the stack minus m3_chi, which is this form."""
+    _require(ctx, Mode.ADIC)
+    return _hn_linear(ctx) - _hn_quadratic(ctx)
 
 
 def _unstable_rank3_raw(ctx) -> MotiveSeries:
@@ -202,11 +232,11 @@ def _unstable_rank3_raw(ctx) -> MotiveSeries:
         - L^{3g-1}/(1-L^2)^2 * ([J]/(1-L))^2
 
     which unstable_rank3_chi reduces."""
-    _require_adic(ctx)
+    _require(ctx, Mode.ADIC)
     g = ctx.g
     jac = jacobian_class(ctx)
     jb = jac.div_unit(1)  # [J] * [B Gm]
-    lin = (jb.div_unit(3) * binomial_h1_series(ctx, 1)).div_unit(1).div_unit(2)
+    lin = (jb.div_unit(3) * _zeta_numerator(ctx, 1)[0]).div_unit(1).div_unit(2)
     quad = (jb * jac).div_unit(1).div_unit(2).div_unit(2).shift(3 * g - 1)
     return lin.shift(2 * g) + lin.shift(2 * g - 1) - quad
 
@@ -256,7 +286,7 @@ def j_squared_cancellation(ctx):
     correction -L^{3g-1}(1+L)^2/(same), the quadratic correction
     +L^{3g-1}(1+L+L^2)/(same).  Each source term is also matched against its
     displayed closed form.  Returns [(label, Comparison), ...]."""
-    _require_adic(ctx)
+    _require(ctx, Mode.ADIC)
     g = ctx.g
     ell = lefschetz_power(ctx, 1)
     u1 = one(ctx).div_unit(1).div_unit(2).shift(g)      # J-tail factor of Z(C, L)
@@ -283,7 +313,7 @@ def j_linear_closed_form(ctx) -> Comparison:
         sum_{k=0}^{g-2} [C_k] L^{2k+g} (1-L^{g-1-k})(1-L^{4g-4-4k})
                         / ((1-L)(1-L^2)).
     """
-    _require_adic(ctx)
+    _require(ctx, Mode.ADIC)
     g = ctx.g
     ell = lefschetz_power(ctx, 1)
     a1 = dec_zeta_finite_part(ctx, 1)
@@ -371,7 +401,7 @@ def inversion_formula(ctx, spec: InversionSpec) -> MotiveSeries:
         * prod_j 1/(1-L^{n_j + n_{j+1}})
         * L^{exponent}.
     """
-    _require_adic(ctx)
+    _require(ctx, Mode.ADIC)
     g = ctx.g
     jac = jacobian_class(ctx)
     total = zero(ctx)
@@ -382,7 +412,7 @@ def inversion_formula(ctx, spec: InversionSpec) -> MotiveSeries:
         units = [1] * (s - 1)
         for nj in comp:
             for i in range(1, nj):
-                term = term * binomial_h1_series(ctx, i)
+                term = term * _zeta_numerator(ctx, i)[0]
                 units += [i, i + 1]
         units += [comp[j] + comp[j + 1] for j in range(s - 1)]
         for i in units:
@@ -410,18 +440,15 @@ def inversion_consistency(ctx, r: int, d: int = 1):
 # -- dimensional-mode pipelines --------------------------------------------
 
 
-def _deeper(ctx, margin):
-    """The dimensional context of ctx with its floor lowered to
-    min(floor, 0) - margin."""
+def _rehome(ctx, build, margin, floor):
+    """The closed form build(deep), computed in the dimensional context deep
+    of ctx with the window floor lo lowered to min(lo, 0) - margin, as a
+    series of ctx valid from ``floor`` up.  Narrowing a validity range is
+    always sound; a closed form not known down to ``floor`` is an error,
+    never a wider claim."""
     w = ctx.window
-    return GenusContext(ctx.g, TruncationWindow(min(w.lo, 0) - margin, w.hi,
-                                                Mode.DIMENSIONAL))
-
-
-def _rehome(ctx, closed, floor):
-    """A closed form computed in a deeper context, as a series of ctx valid
-    from ``floor`` up.  Narrowing a validity range is always sound; a closed
-    form not known down to ``floor`` is an error, never a wider claim."""
+    closed = build(GenusContext(ctx.g, TruncationWindow(min(w.lo, 0) - margin, w.hi,
+                                                        Mode.DIMENSIONAL)))
     if closed.valid_lo > floor:
         raise ArithmeticError(
             "closed form is valid only from L^%d, above the termwise floor L^%d"
@@ -429,47 +456,32 @@ def _rehome(ctx, closed, floor):
     # the deeper window shares the ceiling, so restricting it to the floor
     # of ctx gives a series of ctx; a sum is valid on the overlap of its
     # terms, so adding zero known from ``floor`` narrows the range
-    return closed.restricted(ctx.window.lo) + MotiveSeries(ctx, valid_lo=floor)
+    return closed.restricted(w.lo) + MotiveSeries(ctx, valid_lo=floor)
 
 
 def behrend_dhillon_bun(ctx, r: int) -> MotiveSeries:
     """Dimensional-mode bundle-stack class:
-    L^{(r^2-1)(g-1)} prod_{i=2}^{r} Z(C, L^{-i}).
-
-    Z(C, L^{-i}) = L^{2i-1} N_i / ((L^i-1)(L^{i-1}-1)) with the finite
-    numerator N_i = sum_a l_a L^{-ia}, so the class is
-    L^{(r^2-1)g} prod_i N_i divided by the units.  It is valid from the floor
-    the product of the termwise zeta sums has, and raises where that product
-    raises."""
-    _require_dimensional(ctx)
-    if r not in (2, 3):
-        raise ValueError("rank must be 2 or 3, got %d" % r)
-    g = ctx.g
+    L^{(r^2-1)(g-1)} prod_{i=2}^{r} Z(C, L^{-i}), which is _stack at
+    j = i - 1.  It is valid from the floor the product of the termwise zeta
+    sums has, and raises where that product raises."""
+    _require(ctx, Mode.DIMENSIONAL)
+    _require_rank(r)
     # one(ctx) has the validity range and support ceiling of a termwise sum
     # Z(C, L^{-i}) (exact on the window, top term 1 at L^0), so the product
     # rule applied to it gives the floor of the termwise product
     profile = one(ctx)
     for _ in range(3, r + 1):
         profile = profile * one(ctx)
-    floor = profile.shift((r * r - 1) * (g - 1)).valid_lo
+    floor = profile.shift((r * r - 1) * (ctx.g - 1)).valid_lo
     # in the deeper context the numerator keeps its term at L^0 and the
     # divisions keep its floor; the shift then raises the floor by
     # (r^2-1)g, which is r^2-1 more than the termwise shift raises it
-    deep = _deeper(ctx, r * r - 1)
-    out = binomial_h1_series(deep, -2)
-    for i in range(3, r + 1):
-        out = out * binomial_h1_series(deep, -i)
-    for i in range(2, r + 1):
-        out = out.div_unit(i - 1).div_unit(i)
-    # divide before shifting: the numerator times L^{(r^2-1)g} would reach
-    # above the ceiling
-    return _rehome(ctx, out.shift((r * r - 1) * g), floor)
+    return _rehome(ctx, lambda deep: _stack(deep, r), r * r - 1, floor)
 
 
 def unstable_rank2_var_closed(ctx) -> MotiveSeries:
     """Closed form of the rank-2 unstable class: [J] L^g / ((L-1)(L^2-1))."""
-    _require_dimensional(ctx)
-    return jacobian_class(ctx).div_unit(1).div_unit(2).shift(ctx.g)
+    return _unstable_rank2(ctx, Mode.DIMENSIONAL)
 
 
 def unstable_rank2_var_sum(ctx) -> MotiveSeries:
@@ -478,7 +490,7 @@ def unstable_rank2_var_sum(ctx) -> MotiveSeries:
 
     Terms are added until they fall below the window.  The check
     unstable-rank2-hn-sum compares the result with the closed form."""
-    _require_dimensional(ctx)
+    _require(ctx, Mode.DIMENSIONAL)
     g = ctx.g
     w = ctx.window
     jb = jacobian_class(ctx).div_unit(1)
@@ -496,39 +508,26 @@ def m2_var(ctx) -> MotiveSeries:
     return behrend_dhillon_bun(ctx, 2) - unstable_rank2_var_sum(ctx)
 
 
-def _hn_linear_factor(ctx) -> MotiveSeries:
-    """(L^{2g} + L^{2g-1}) [J] / ((L-1)(L^3-1)): the linear
-    Harder-Narasimhan term without its Z(C, L)."""
-    g = ctx.g
-    return ((lefschetz_power(ctx, 2 * g) + lefschetz_power(ctx, 2 * g - 1))
-            .div_unit(1).div_unit(3) * jacobian_class(ctx))
-
-
 def m3_var(ctx) -> MotiveSeries:
-    """Dimensional-mode rank-3 moduli class.  The Harder-Narasimhan
-    corrections are the same rational functions as in adic mode, re-expanded
-    against the units L^i - 1 (the paired sign flips of numerator and
-    denominator cancel).
-
-    Z(C, L) = L^{3g} N_2 / ((L-1)(L^2-1)) enters the linear term through its
-    numerator, and the term is valid from the floor it has with the termwise
-    stand-in L^{3(g-1)} Z(C, L^{-2}) for Z(C, L)."""
-    _require_dimensional(ctx)
+    """Dimensional-mode rank-3 moduli class: the stack minus the
+    Harder-Narasimhan terms of unstable_rank3_chi, the same rational
+    functions re-expanded against the units L^i - 1."""
+    _require(ctx, Mode.DIMENSIONAL)
     g = ctx.g
     jac = jacobian_class(ctx)
-    # the profile of the termwise stand-in (see behrend_dhillon_bun)
+    # the linear term is valid from the floor it has with the termwise
+    # stand-in L^{3(g-1)} Z(C, L^{-2}) for Z(C, L), whose profile is one(ctx)
+    # shifted (see behrend_dhillon_bun)
     zrep = one(ctx).shift(3 * (g - 1))
-    floor = (_hn_linear_factor(ctx) * zrep).valid_lo
-    # with its floor at or below -3 no factor is empty, and the term is
-    # valid from that floor plus 6g-4, as the termwise one is in ctx
-    deep = _deeper(ctx, 3)
-    lin = ((_hn_linear_factor(deep) * binomial_h1_series(deep, -2))
-           .div_unit(1).div_unit(2).shift(3 * g))
-    lin = _rehome(ctx, lin, floor)
-    # the factor order is that of the expanded products: in this mode the
-    # validity floor of a product depends on it
-    quad = (one(ctx).div_unit(1).div_unit(1).div_unit(2).div_unit(2)
-            * jac * jac).shift(3 * g - 1)
+    floor = ((lefschetz_power(ctx, 2 * g) + lefschetz_power(ctx, 2 * g - 1))
+             .div_unit(1).div_unit(3) * jac * zrep).valid_lo
+    # with the deeper floor at or below -3 no factor is empty, and the term
+    # is valid from that floor plus 6g-4 (6g-3 at g = 2), no higher than the
+    # termwise one is in ctx
+    lin = _rehome(ctx, _hn_linear, 3, floor)
+    # the terms come first, the linear one before the quadratic one, so
+    # that a narrow window raises what the termwise products raise
+    quad = _hn_quadratic(ctx)
     return behrend_dhillon_bun(ctx, 3) - lin + quad
 
 
@@ -562,7 +561,7 @@ def var_rank2_check(ctx, adic_ctx=None):
       extra L^3 prefactor, compared against the template.  It does not
       close; the mismatch witness lets the caller flag (not fail) it.
     """
-    _require_dimensional(ctx)
+    _require(ctx, Mode.DIMENSIONAL)
     bun = behrend_dhillon_bun(ctx, 2)
     un = unstable_rank2_var_sum(ctx)
     m2v = bun - un
@@ -577,7 +576,7 @@ def var_rank2_check(ctx, adic_ctx=None):
 
 def var_rank3_check(ctx, adic_ctx=None):
     """Dimensional-mode rank-3 pipeline checks (decomposition + cross-mode)."""
-    _require_dimensional(ctx)
+    _require(ctx, Mode.DIMENSIONAL)
     m3v = m3_var(ctx)
     steps = [("decomposition", m3v.equals(rank3_decomposition(ctx)))]
     if adic_ctx is None:

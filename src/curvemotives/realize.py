@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from math import comb
+from math import comb, isqrt
 
 from .polys import IntPoly, IntPoly2, add_into
 from .series import Mode
@@ -40,6 +40,14 @@ __all__ = [
 ]
 
 
+def _is_prime_power(q):
+    """True when q >= 2 is a power of its smallest prime factor."""
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 class CountingData:
     """Point counts of a genus-g curve over F_q, F_{q^2}, .., F_{q^g},
     digested into the counting images of the lambda classes.
@@ -51,7 +59,7 @@ class CountingData:
     """
 
     def __init__(self, q, counts):
-        if not isinstance(q, int) or q < 2:
+        if not isinstance(q, int) or q < 2 or not _is_prime_power(q):
             raise ValueError("q must be a prime power >= 2, got %r" % (q,))
         counts = list(counts)
         if not counts:

@@ -284,6 +284,17 @@ def test_cli_verify_json_output(tmp_path, capsys):
     assert obj["summary"]["fail"] == 0
 
 
+def test_cli_verify_unwritable_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--genus", "2", "--checks", "symmpro", "--json", str(path)])
+    assert err.value.code == 2
+    out, errtext = capsys.readouterr()
+    assert out == ""  # no check ran, so no verdict line
+    assert errtext.splitlines()[-1] == (
+        "curve-motives: error: cannot write --json file %s: No such file or directory" % path)
+
+
 def test_cli_verify_usage_errors(capsys):
     for argv in (
         ["verify", "--genus", "1"],
@@ -465,6 +476,8 @@ def test_cli_realize_usage_errors(capsys):
         ["realize", "--target", "poincare", "--class", "ck:x", "--genus", "2"],
         ["realize", "--target", "poincare", "--class", "mystery", "--genus", "2"],
         ["realize", "--target", "poincare", "--class", "m2", "--genus", "1"],
+        ["realize", "--target", "poincare", "--class", "jac", "--genus", "2",
+         "--counts", "counts.json"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -488,6 +501,7 @@ BAD_COUNTS = [
     ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ('{"counts": [4, 10]}', "missing key 'q'"),
     ('{"q": 1, "counts": [4, 6]}', "q must be a prime power >= 2, got 1"),
+    ('{"q": 6, "counts": [7, 37]}', "q must be a prime power >= 2, got 6"),
     ('{"q": 3, "counts": [4, -6]}', "point counts must be nonnegative integers"),
     ('{"q": 3, "counts": [4, 11]}', "counts [4, 11] over q=3 are not the counts of a curve "
                                     "(non-integral class at weight 2)"),

@@ -131,6 +131,10 @@ FROZEN_DIGESTS = {
     "inversion_formula": "7c934a9088a2c610c99671a2c4ee7a2bd6870c4f145bbb98d05bb6f97538e2de",
     "unstable_rank2_chi": "366053fbcb97c822d76052a275501e706feaeded4d2321abb8713daf5f956d77",
     "bun_chi": "1da6878cf415c612f45470d66b1208e2f95e7b32227634e8859668e94140f817",
+    "unstable_rank3_chi": "07a27bb2d765871d99b05b45a2d44ee00cef3a7a846180fc901dbcd69ae11a91",
+    "behrend_dhillon_bun@r=2": "a035147b61b6bd36d7af211b18ec22e70b320de96873e94821c1b113ff1dfea6",
+    "behrend_dhillon_bun@r=3": "cd00634de3dd28d102f4d504e506b4ce8c471486eece898965444c9ff95d2b06",
+    "unstable_rank2_var_closed": "a69052b0d0c243060be8f3c8dcbbf755922fdba8d4a528fcab91937084e4f3a4",
 }
 
 
@@ -143,6 +147,10 @@ def test_frozen_digests():
         "inversion_formula": inversion_formula(actx, InversionSpec(3, 1)),
         "unstable_rank2_chi": unstable_rank2_chi(actx),
         "bun_chi": bun_chi(actx, 3),
+        "unstable_rank3_chi": unstable_rank3_chi(actx),
+        "behrend_dhillon_bun@r=2": behrend_dhillon_bun(dctx, 2),
+        "behrend_dhillon_bun@r=3": behrend_dhillon_bun(dctx, 3),
+        "unstable_rank2_var_closed": unstable_rank2_var_closed(dctx),
     }
     got = {name: hashlib.sha256(cls.to_json().encode()).hexdigest()
            for name, cls in built.items()}
