@@ -2,10 +2,12 @@
 
 Each check has a stable identifier, a one-line mathematical statement, a
 completion mode, a genus-applicability predicate, and a steps function
-``steps(g, window) -> (steps, notes)``.  A step is either a
-``(label, Comparison)`` pair or a finished detail entry (a dict with at
-least "step" and "ok"; a failing one carries its own "witness").  The one
-fold, ``_fold``, derives every report field from them:
+``steps(adic, dim)`` over the two contexts of a task, which ``run_check``
+builds once.  It yields entries: a ``(label, Comparison)`` pair, a finished
+detail dict (at least "step" and "ok"; a failing one carries its own
+"witness"), or a note (a str).  A ValueError or ArithmeticError while they
+are collected discards them all for one failing "error" entry.  The one
+fold, ``_fold``, derives every report field from the entries:
 
 * verdict: "fail" if any step is not ok, else "flagged" if a note was
   recorded, else "pass".  Flagged means the implemented mathematics holds
@@ -13,7 +15,7 @@ fold, ``_fold``, derives every report field from them:
   material that does not close); it never affects the process exit code.
 * witness: the first failing step's witness.
 * window: the overlap of every step entry's "window".
-* details: the step entries, in order.
+* details: the entries that are not notes, in order; notes: the notes.
 
 A request (genera, check ids, window) is judged once, by ``plan``: the CLI,
 ``run_suite`` and ``run_check`` refuse what it refuses, with its messages,
@@ -83,181 +85,160 @@ def _entry(label, ok, witness, **fields):
     return entry
 
 
-def _fold(steps, notes):
-    """(verdict, witness, window, details) of a check's steps and notes, by
+def _fold(entries):
+    """(verdict, witness, window, details, notes) of a check's entries, by
     the rules in the module docstring; the only place a verdict is made."""
-    details = []
-    for step in steps:
-        if isinstance(step, tuple):
-            label, cmp = step
-            step = _entry(label, bool(cmp), lambda: _witness_obj(cmp),
-                          window=[cmp.lo, cmp.hi])
-        details.append(step)
+    details, notes = [], []
+    for entry in entries:
+        if isinstance(entry, tuple):
+            label, cmp = entry
+            entry = _entry(label, bool(cmp), lambda: _witness_obj(cmp),
+                           window=[cmp.lo, cmp.hi])
+        (notes if isinstance(entry, str) else details).append(entry)
     failed = [d for d in details if not d["ok"]]
     verdict = "fail" if failed else "flagged" if notes else "pass"
     witness = failed[0]["witness"] if failed else None
     windows = [d["window"] for d in details if "window" in d]
     window = ([max(lo for lo, _ in windows), min(hi for _, hi in windows)]
               if windows else None)
-    return verdict, witness, window, details
+    return verdict, witness, window, details, notes
 
 
 # -- steps -----------------------------------------------------------------
-# Each returns (steps, notes).  Pipeline functions are looked up through their
-# module at call time, so a patched or traced module attribute is what runs.
+# Each is steps(adic, dim) and yields the entries of the module docstring.
+# Pipeline functions are looked up through their module at call time, so a
+# patched or traced module attribute is what runs.
 
 
-def _symmpro(g, window):
-    ctx = _adic(g, window)
-    return [("k=%d" % k, curves.check_symmetric_power_decomposition(ctx, k))
-            for k in range(g, 3 * g + 1)], []
+def _symmpro(adic, dim):
+    return [("k=%d" % k, curves.check_symmetric_power_decomposition(adic, k))
+            for k in range(adic.g, 3 * adic.g + 1)]
 
 
-def _deczeta_chow(g, window):
-    ctx = _adic(g, window)
-    return [("i=%d" % i, curves.zeta_at_lefschetz(ctx, i).equals(curves.dec_zeta_rhs(ctx, i)))
-            for i in (1, 2, 3)], []
+def _deczeta_chow(adic, dim):
+    return [("i=%d" % i, curves.zeta_at_lefschetz(adic, i).equals(curves.dec_zeta_rhs(adic, i)))
+            for i in (1, 2, 3)]
 
 
-def _deczeta_var(g, window):
-    ctx = _dim(g, window)
-    return [("i=%d" % i, curves.zeta_at_lefschetz(ctx, -i).shift((2 * i - 1) * (g - 1))
-             .equals(curves.dec_zeta_rhs(ctx, i)))
-            for i in (2, 3)], []
+def _deczeta_var(adic, dim):
+    return [("i=%d" % i, curves.zeta_at_lefschetz(dim, -i).shift((2 * i - 1) * (dim.g - 1))
+             .equals(curves.dec_zeta_rhs(dim, i)))
+            for i in (2, 3)]
 
 
-def _motiviczeta_closed_form(g, window):
-    ctx = _adic(g, window)
-    steps = []
+def _motiviczeta_closed_form(adic, dim):
     for i in (1, 2, 3):
-        closed = curves.binomial_h1_series(ctx, i).div_unit(i).div_unit(i + 1)
-        steps.append(("i=%d" % i, curves.zeta_at_lefschetz(ctx, i).equals(closed)))
-    return steps, []
+        closed = curves._zeta_numerator(adic, i)[0].div_unit(i).div_unit(i + 1)
+        yield "i=%d" % i, curves.zeta_at_lefschetz(adic, i).equals(closed)
 
 
-def _rank2(g, window):
-    ctx = _adic(g, window)
-    m2 = moduli.m2_chi(ctx)  # raises if support leaks above 3g-3
-    return [("decomposition", m2.equals(moduli.rank2_decomposition(ctx))),
-            {"step": "support-in-[0,%d]" % (moduli.rank2_min_ceiling(g) - 1), "ok": True}], []
+def _rank2(adic, dim):
+    m2 = moduli.m2_chi(adic)  # raises if support leaks above 3g-3
+    yield "decomposition", m2.equals(moduli.rank2_decomposition(adic))
+    yield {"step": "support-in-[0,%d]" % (moduli.rank2_min_ceiling(adic.g) - 1), "ok": True}
 
 
-def _rank3(g, window):
-    ctx = _adic(g, window)
-    m3 = moduli.m3_chi(ctx)  # raises if support leaks above 8g-8
+def _rank3(adic, dim):
+    m3 = moduli.m3_chi(adic)  # raises if support leaks above 8g-8
     # in adic mode m3 is exactly the stack minus the reduced correction
-    agree = moduli._unstable_rank3_raw(ctx).equals(moduli.bun_chi(ctx, 3) - m3)
+    agree = moduli._unstable_rank3_raw(adic).equals(moduli.bun_chi(adic, 3) - m3)
     if not agree:
         raise ArithmeticError("raw and reduced unstable rank-3 corrections disagree "
                               "at L^%d" % agree.witness_exponent)
-    return [("decomposition", m3.equals(moduli.rank3_decomposition(ctx))),
-            {"step": "support-in-[0,%d]" % (moduli.rank3_min_ceiling(g) - 1), "ok": True}], []
+    yield "decomposition", m3.equals(moduli.rank3_decomposition(adic))
+    yield {"step": "support-in-[0,%d]" % (moduli.rank3_min_ceiling(adic.g) - 1), "ok": True}
 
 
-def _x_identity(g, window):
+def _x_identity(adic, dim):
     return [_entry(label, not delta, lambda: {"delta": str(delta)})
-            for label, delta in moduli.x_identity_all(g)], []
+            for label, delta in moduli.x_identity_all(adic.g)]
 
 
-def _j_squared(g, window):
-    ctx = _adic(g, window)
-    return moduli.j_squared_cancellation(ctx) + [
-        ("j-linear-closed-form", moduli.j_linear_closed_form(ctx))], []
+def _j_squared(adic, dim):
+    yield from moduli.j_squared_cancellation(adic)
+    yield "j-linear-closed-form", moduli.j_linear_closed_form(adic)
 
 
-def _inversion(g, window):
-    ctx = _adic(g, window)
-    steps, notes = [], []
+def _inversion(adic, dim):
     for r, d in ((2, 1), (3, 1)):
-        spec = moduli.InversionSpec(r, d)
-        for comp in spec.compositions():
-            moduli.inversion_exponent(g, spec, comp)  # raises on non-integer
-        steps.append({"step": "n=%d,d=%d:integral-exponents" % (r, d), "ok": True})
-        res = moduli.inversion_consistency(ctx, r, d)
-        matched = [label for label, cmp in res if cmp]
+        # the inversion sum raises on a non-integral exponent
+        res = moduli.inversion_consistency(adic, r, d)
+        yield {"step": "n=%d,d=%d:integral-exponents" % (r, d), "ok": True}
         # both readings are recorded; exactly one of them must hold
-        steps += [{"step": "n=%d,d=%d:%s" % (r, d, label), "ok": True,
-                   "equal": bool(cmp), "window": [cmp.lo, cmp.hi]} for label, cmp in res]
+        for label, cmp in res:
+            yield {"step": "n=%d,d=%d:%s" % (r, d, label), "ok": True,
+                   "equal": bool(cmp), "window": [cmp.lo, cmp.hi]}
+        matched = [label for label, cmp in res if cmp]
         if len(matched) == 1:
-            notes.append("determinant-reading: rank %d degree %d inversion sum "
-                         "equals the %s class" % (r, d, matched[0]))
+            yield ("determinant-reading: rank %d degree %d inversion sum "
+                   "equals the %s class" % (r, d, matched[0]))
         else:
             bad = {"matched": matched}
             bad.update((label, _witness_obj(cmp)) for label, cmp in res if not cmp)
-            steps.append({"step": "n=%d,d=%d:exactly-one-reading" % (r, d),
-                          "ok": False, "witness": bad})
-    return steps, notes
+            yield {"step": "n=%d,d=%d:exactly-one-reading" % (r, d),
+                   "ok": False, "witness": bad}
 
 
-def _behrend_dhillon(g, window):
-    dctx, actx = _dim(g, window), _adic(g, window)
-    steps = []
+def _behrend_dhillon(adic, dim):
     for r in (2, 3):
-        top = (r * r - 1) * (g - 1)
-        lead = moduli.behrend_dhillon_bun(dctx, r).coefficient(top)
-        steps.append(_entry("r=%d:top-coefficient-at-%d" % (r, top), lead == 1,
-                            lambda: {"exponent": top, "delta": str(lead)}))
-        mv = moduli.m2_var(dctx) if r == 2 else moduli.m3_var(dctx)
-        ma = moduli.m2_chi(actx) if r == 2 else moduli.m3_chi(actx)
-        steps.append(("r=%d:cross-mode-moduli-class" % r, moduli._cross_mode(mv, ma)))
-    return steps, []
+        top = (r * r - 1) * (dim.g - 1)
+        lead = moduli.behrend_dhillon_bun(dim, r).coefficient(top)
+        yield _entry("r=%d:top-coefficient-at-%d" % (r, top), lead == 1,
+                     lambda: {"exponent": top, "delta": str(lead)})
+        mv = moduli.m2_var(dim) if r == 2 else moduli.m3_var(dim)
+        ma = moduli.m2_chi(adic) if r == 2 else moduli.m3_chi(adic)
+        yield "r=%d:cross-mode-moduli-class" % r, moduli._cross_mode(mv, ma)
 
 
-def _var_rank2(g, window):
+def _var_rank2(adic, dim):
     # the last step is the l3-prefactor probe: recorded and noted, never failed
-    *steps, (label, probe) = moduli.var_rank2_check(_dim(g, window), _adic(g, window))
+    *steps, (label, probe) = moduli.var_rank2_check(dim, adic)
+    yield from steps
     entry = {"step": label, "ok": True, "equal": bool(probe)}
     if probe:
         outcome = "unexpectedly also closes"
     else:
         entry["mismatch"] = _witness_obj(probe)
         outcome = "fails at exponent %d" % probe.witness_exponent
-    return steps + [entry], ["cubic-prefactor: the variant bundle-stack reading with an "
-                   "extra L^3 prefactor " + outcome]
+    yield entry
+    yield ("cubic-prefactor: the variant bundle-stack reading with an "
+           "extra L^3 prefactor " + outcome)
 
 
-def _unstable_hn_sum(g, window):
-    ctx = _dim(g, window)
-    total = moduli.unstable_rank2_var_sum(ctx)
-    steps = [("sum-equals-closed-form", total.equals(moduli.unstable_rank2_var_closed(ctx)))]
+def _unstable_hn_sum(adic, dim):
+    total = moduli.unstable_rank2_var_sum(dim)
+    yield "sum-equals-closed-form", total.equals(moduli.unstable_rank2_var_closed(dim))
     top = max(total.coeffs)
-    steps.append(_entry("top-exponent-%d" % (2 * g - 3), top == 2 * g - 3,
-                        lambda: {"exponent": top, "delta": "unexpected top exponent"},
-                        observed=top))
-    return steps, []
+    yield _entry("top-exponent-%d" % (2 * dim.g - 3), top == 2 * dim.g - 3,
+                 lambda: {"exponent": top, "delta": "unexpected top exponent"},
+                 observed=top)
 
 
-def _realize_poincare(g, window):
-    got = realize(moduli.rank2_decomposition(_adic(g, window)), POINCARE)
-    want = newstead_oracle(g)
-    return [_entry("rank2-poincare-vs-oracle", got == want,
-                   lambda: {"delta": str(got - want)})], []
+def _realize_poincare(adic, dim):
+    got = realize(moduli.rank2_decomposition(adic), POINCARE)
+    want = newstead_oracle(adic.g)
+    yield _entry("rank2-poincare-vs-oracle", got == want, lambda: {"delta": str(got - want)})
 
 
-def _realize_hodge(g, window):
-    ctx = _adic(g, window)
-    named = [("m2", moduli.m2_chi(ctx)), ("m3", moduli.m3_chi(ctx)),
-             ("jac", curves.jacobian_class(ctx))]
-    named += [("c%d" % k, curves.sym_power_class(ctx, k)) for k in range(0, 2 * g + 1)]
-    steps = []
+def _realize_hodge(adic, dim):
+    named = [("m2", moduli.m2_chi(adic)), ("m3", moduli.m3_chi(adic)),
+             ("jac", curves.jacobian_class(adic))]
+    named += [("c%d" % k, curves.sym_power_class(adic, k)) for k in range(0, 2 * adic.g + 1)]
     for name, cls in named:
         diag, poinc = realize(cls, HODGE).diagonal(), realize(cls, POINCARE)
-        steps.append(_entry("%s:hodge-diagonal-vs-poincare" % name, diag == poinc,
-                            lambda: {"class": name, "delta": str(diag - poinc)}))
-    return steps, []
+        yield _entry("%s:hodge-diagonal-vs-poincare" % name, diag == poinc,
+                     lambda: {"class": name, "delta": str(diag - poinc)})
 
 
-def _count_cross_check(g, window):
-    ctx = _adic(g, window)
+def _count_cross_check(adic, dim):
     data = genus2_fixture_counts()
-    steps = [{"step": "fixture-counts", "ok": True, "q": data.q, "counts": data.counts}]
-    steps += [_entry("k=%d" % k, got == want,
+    yield {"step": "fixture-counts", "ok": True, "q": data.q, "counts": data.counts}
+    for k, got, want in count_cross_check(adic, data, k_max=6):
+        yield _entry("k=%d" % k, got == want,
                      lambda: {"k": k, "realized": got, "expected": want},
                      realized=got, expected=want)
-              for k, got, want in count_cross_check(ctx, data, k_max=6)]
-    steps.append({"step": "jacobian-count", "ok": True,
-                  "realized": realize(curves.jacobian_class(ctx), count_target(data))})
-    return steps, []
+    yield {"step": "jacobian-count", "ok": True,
+           "realized": realize(curves.jacobian_class(adic), count_target(data))}
 
 
 # -- registry --------------------------------------------------------------
@@ -284,12 +265,12 @@ CHECKS = {
     "zeta-rationality": CheckSpec(
         "The zeta series times (1-t)(1-Lt) is a polynomial of t-degree 2g "
         "whose t^k coefficient is the k-th exterior power class.",
-        "adic", lambda g, w: (curves.check_zeta_rationality(_adic(g, w)), []),
+        "adic", lambda adic, dim: curves.check_zeta_rationality(adic),
         min_ceiling=lambda g: 4 * g),
     "functional-equation": CheckSpec(
         "Numerator symmetry: the degree-a exterior power times L^g equals "
         "the degree-(2g-a) exterior power times L^a, for a = 0..2g.",
-        "adic", lambda g, w: (curves.check_functional_equation(_adic(g, w)), [])),
+        "adic", lambda adic, dim: curves.check_functional_equation(adic)),
     "symmpro": CheckSpec(
         "For g <= k <= 3g the k-th symmetric power decomposes as "
         "[J](1 + L + .. + L^{k-g}) plus, when k <= 2g-2, [C_{2g-2-k}] L^{k-g+1}.",
@@ -347,7 +328,7 @@ CHECKS = {
         "Dimensional rank-3 pipeline: stack minus Harder-Narasimhan "
         "corrections equals the decomposition template and matches the adic "
         "class.",
-        "dimensional", lambda g, w: (moduli.var_rank3_check(_dim(g, w), _adic(g, w)), []),
+        "dimensional", lambda adic, dim: moduli.var_rank3_check(dim, adic),
         min_ceiling=moduli.rank3_min_ceiling),
     "unstable-rank2-hn-sum": CheckSpec(
         "The stratumwise unstable rank-2 sum (degree-d stratum "
@@ -417,11 +398,11 @@ def run_check(check_id, g, window=None) -> CheckReport:
     spec = CHECKS[check_id]
     start = time.perf_counter()
     try:
-        steps, notes = spec.steps(g, window)
+        entries = list(spec.steps(_adic(g, window), _dim(g, window)))
     except (ValueError, ArithmeticError) as exc:
-        steps, notes = [{"step": "error", "ok": False, "message": str(exc),
-                         "witness": {"error": str(exc)}}], []
-    verdict, witness, win, details = _fold(steps, notes)
+        entries = [{"step": "error", "ok": False, "message": str(exc),
+                    "witness": {"error": str(exc)}}]
+    verdict, witness, win, details, notes = _fold(entries)
     wall = time.perf_counter() - start
     return CheckReport(check_id, g, spec.mode, verdict, spec.statement,
                        win, witness, notes, details, wall)

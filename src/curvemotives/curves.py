@@ -5,7 +5,8 @@ All constructors return exact polynomial classes (full validity range); the
 only genuinely infinite objects here are the zeta evaluations at powers of L,
 which are exact on the whole window by construction.  The dimensional zeta
 decomposition at i is the adic formula at i - 1, so both completions run
-one formula.
+one formula; ``_zeta_numerator`` states the numerator of Z(C, L^j) by the
+same rule for the moduli pipelines.
 """
 
 from __future__ import annotations
@@ -130,6 +131,16 @@ def _adic_index(ctx, i):
         raise ValueError("%s decomposition needs i >= %d, got %d"
                          % (ctx.mode.value, 1 + lag, i))
     return i - lag
+
+
+def _zeta_numerator(ctx, j):
+    """Z(C, L^j) = L^s N / ((1-L^j)(1-L^{j+1})) as (N, s), j >= 1.  In adic
+    mode N = (1+L^j)^{h1} and s = 0.  In dimensional mode the class is
+    L^{(2j+1)(g-1)} Z(C, L^{-(j+1)}), the adic formula at j = i - 1, with
+    N = sum_a l_a L^{-(j+1)a} and s = (2j+1)g."""
+    if ctx.mode is Mode.ADIC:
+        return binomial_h1_series(ctx, j), 0
+    return binomial_h1_series(ctx, -(j + 1)), (2 * j + 1) * ctx.g
 
 
 def dec_zeta_finite_part(ctx, i: int) -> MotiveSeries:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (
-    binomial_h1_series,
+    _zeta_numerator,
     dec_zeta_finite_part,
     jacobian_class,
     sym_power_class,
@@ -85,16 +85,6 @@ def _require_rank(r):
 
 
 # -- the formulas both completions share -----------------------------------
-
-
-def _zeta_numerator(ctx, j):
-    """Z(C, L^j) = L^s N / ((1-L^j)(1-L^{j+1})) as (N, s), j >= 1.  In adic
-    mode N = (1+L^j)^{h1} and s = 0.  In dimensional mode the class is
-    L^{(2j+1)(g-1)} Z(C, L^{-(j+1)}), the adic formula at j = i - 1, with
-    N = sum_a l_a L^{-(j+1)a} and s = (2j+1)g."""
-    if ctx.mode is Mode.ADIC:
-        return binomial_h1_series(ctx, j), 0
-    return binomial_h1_series(ctx, -(j + 1)), (2 * j + 1) * ctx.g
 
 
 def _stack(ctx, r):

@@ -8,6 +8,7 @@ import pytest
 
 from curvemotives import curves, moduli
 from curvemotives.polys import IntPoly2
+from curvemotives.realize import POINCARE, realize
 from curvemotives.series import GenusContext, lefschetz_power
 
 from curvemotives.checks import (
@@ -196,6 +197,19 @@ def test_error_inside_steps_is_a_failing_report(exc, monkeypatch):
         ("error", False, "forced")]
 
 
+def test_an_error_discards_the_entries_made_before_it(monkeypatch):
+    # behrend-dhillon has made its rank-2 entries when m3_var raises; none
+    # of them reaches the report
+    def broken(ctx):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(moduli, "m3_var", broken)
+    r = run_check("behrend-dhillon", 2)
+    assert (r.verdict, r.witness, r.window, r.notes) == ("fail", {"error": "forced"}, None, [])
+    assert [(d["step"], d["ok"], d["message"]) for d in r.details] == [
+        ("error", False, "forced")]
+
+
 @pytest.mark.parametrize("g", [2, 3])
 def test_run_check_refuses_windows_below_the_ceiling(g):
     for cid in available_checks():
@@ -293,6 +307,26 @@ def test_cli_verify_unwritable_json_is_a_usage_error(tmp_path, capsys):
     assert out == ""  # no check ran, so no verdict line
     assert errtext.splitlines()[-1] == (
         "curve-motives: error: cannot write --json file %s: No such file or directory" % path)
+
+
+def test_cli_verify_fail_prints_the_witness(monkeypatch, capsys):
+    argv = ["verify", "--genus", "2", "--checks", "rank2"]
+    template = moduli.rank2_decomposition
+    monkeypatch.setattr(moduli, "rank2_decomposition", lambda ctx: template(ctx) + 1)
+    assert main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FAIL    rank2 g=2 window=[0,30] (")
+    assert out[1:] == ['        witness: {"delta": "-1", "exponent": 0}',
+                       "0 passed, 0 flagged, 1 failed"]
+
+    def broken(ctx):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(moduli, "rank2_decomposition", broken)
+    assert main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FAIL    rank2 g=2 (")
+    assert out[1:] == ['        witness: {"error": "forced"}', "0 passed, 0 flagged, 1 failed"]
 
 
 def test_cli_verify_usage_errors(capsys):
@@ -468,6 +502,24 @@ def test_cli_realize_hodge_jac(capsys):
     obj = json.loads(capsys.readouterr().out)
     coeffs = {(i, j): c for i, j, c in obj["realization"]["coefficients"]}
     assert coeffs[(0, 0)] == 1 and coeffs[(1, 0)] == 2 and coeffs[(2, 2)] == 1
+
+
+def test_cli_realize_poincare_m3(capsys):
+    assert main(["realize", "--target", "poincare", "--class", "m3",
+                 "--genus", "2"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["realization"]["coefficients"]
+    want = realize(moduli.m3_chi(GenusContext.adic(2)), POINCARE)
+    assert coeffs == [[e, c] for e, c in sorted(want.terms.items())]
+    # a palindrome of degree 16 = dim M(3, L) at genus 2
+    assert coeffs[-1][0] == 16 and dict(coeffs) == {16 - e: c for e, c in coeffs}
+
+
+def test_cli_realize_symmetric_power_out_of_window(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["realize", "--target", "poincare", "--class", "ck:31", "--genus", "2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "curve-motives: error: symmetric-power index must lie in [0, 30]")
 
 
 def test_cli_realize_usage_errors(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from curvemotives import curves, moduli
 from curvemotives.polys import IntPoly, IntPoly2
 from curvemotives.series import (
     CoeffPoly,
@@ -295,6 +296,43 @@ def test_vanishes_above():
     s = one(ctx) + lefschetz_power(ctx, 4)
     assert s.vanishes_above(4) is None
     assert s.vanishes_above(3) == 4
+
+
+def _vanishing_classes(ctx):
+    """[J], [C_3], a zeta evaluation, the rank-2 moduli class, the rank-2
+    stack, and -[J]/(1-L), whose packed digits are negative, in ctx."""
+    adic = ctx.mode is Mode.ADIC
+    jac = curves.jacobian_class(ctx)
+    return [jac, curves.sym_power_class(ctx, 3),
+            curves.zeta_at_lefschetz(ctx, 1 if adic else -2),
+            (moduli.m2_chi if adic else moduli.m2_var)(ctx),
+            (moduli.bun_chi if adic else moduli.behrend_dhillon_bun)(ctx, 2),
+            -jac.div_unit(1)]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_vanishes_above_matches_the_decoded_coefficients(g):
+    # both modes, default and narrowed windows, every bound from below the
+    # floor to above the ceiling
+    contexts = [GenusContext.adic(g), GenusContext.adic(g, hi=3 * g - 2),
+                GenusContext.adic(g, hi=3 * g, lo=-3), GenusContext.dimensional(g),
+                GenusContext.dimensional(g, lo=-(3 * g - 2)),
+                GenusContext.dimensional(g, lo=-7, hi=4 * g)]
+    for ctx in contexts:
+        w = ctx.window
+        for x in _vanishing_classes(ctx):
+            for bound in range(w.lo - 3, w.hi + 3):
+                want = min((e for e in x.coeffs if e > bound), default=None)
+                assert x.vanishes_above(bound) == want, (w, bound)
+
+
+def test_equals_refuses_what_it_cannot_compare():
+    jac = curves.jacobian_class(GenusContext.adic(2))
+    with pytest.raises(ValueError, match="^cannot compare series over different genus or mode$"):
+        jac.equals(curves.jacobian_class(GenusContext.dimensional(2)))
+    high = MotiveSeries(GenusContext.adic(2, hi=20, lo=10))  # valid on [10, 20]
+    with pytest.raises(ValueError, match="^no shared validity range to compare on$"):
+        one(GenusContext.adic(2, hi=5)).equals(high)
 
 
 def test_validate_and_json_roundtrip_shape():
