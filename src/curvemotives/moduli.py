@@ -17,6 +17,7 @@ stack minus m3_chi).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,18 +183,16 @@ def rank2_template_blocks(g):
 
 def template_class(ctx, blocks) -> MotiveSeries:
     """Sum over blocks of (product of symmetric powers) * (sum of L powers).
-    Each distinct symmetric power is built once."""
+    Each distinct symmetric power is built once, and each first index k1
+    costs one product [C_k1] P_k1, P_k1 the sum of its blocks' other factors."""
     sym = {k: sym_power_class(ctx, k) for k in {k for ks, _ in blocks for k in ks}}
-    out = zero(ctx)
+    partners = {}
     for ks, exps in blocks:
-        base = sym[ks[0]]
+        term = MotiveSeries(ctx, Counter(exps))
         for k in ks[1:]:
-            base = base * sym[k]
-        emap = {}
-        for e in exps:
-            emap[e] = emap.get(e, 0) + 1
-        out = out + base * MotiveSeries(ctx, emap)
-    return out
+            term = sym[k] * term
+        partners[ks[0]] = partners[ks[0]] + term if ks[0] in partners else term
+    return sum((sym[k1] * partner for k1, partner in partners.items()), zero(ctx))
 
 
 def rank2_decomposition(ctx) -> MotiveSeries:
@@ -390,27 +389,34 @@ def inversion_formula(ctx, spec: InversionSpec) -> MotiveSeries:
         * prod_j prod_{i=1}^{n_j - 1} (1+L^i)^{h1} / ((1-L^i)(1-L^{i+1}))
         * prod_j 1/(1-L^{n_j + n_{j+1}})
         * L^{exponent}.
+
+    Over one common denominator: each composition's signed, shifted finite
+    numerator is multiplied by the units 1 - L^i of the lcm of all the
+    denominators that its own lacks, and the sum is divided by the lcm once.
     """
     _require(ctx, Mode.ADIC)
     g = ctx.g
     jac = jacobian_class(ctx)
-    total = zero(ctx)
+    terms, lcm = [], Counter()
     for comp in spec.compositions():
         s = len(comp)
-        # the finite numerator first, then one division per unit
         term = jac ** s
-        units = [1] * (s - 1)
+        units = Counter({1: s - 1})
         for nj in comp:
             for i in range(1, nj):
                 term = term * _zeta_numerator(ctx, i)[0]
-                units += [i, i + 1]
-        units += [comp[j] + comp[j + 1] for j in range(s - 1)]
-        for i in units:
-            term = term.div_unit(i)
+                units.update((i, i + 1))
+        units.update(comp[j] + comp[j + 1] for j in range(s - 1))
         term = term.shift(inversion_exponent(g, spec, comp))
-        if s % 2 == 0:
-            term = -term
+        terms.append((-term if s % 2 == 0 else term, units))
+        lcm |= units
+    total = zero(ctx)
+    for term, units in terms:
+        for i in sorted((lcm - units).elements()):
+            term = term - term.shift(i)
         total = total + term
+    for i in sorted(lcm.elements()):
+        total = total.div_unit(i)
     return total
 
 

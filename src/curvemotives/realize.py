@@ -21,10 +21,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 from .polys import IntPoly, IntPoly2, add_into
-from .series import Mode
+from .series import Mode, _digits, _width
 
 __all__ = [
     "CountingData",
@@ -136,12 +136,9 @@ def count_target(data: CountingData) -> RealizationTarget:
 
 
 def _lambda_images(target, g):
-    """Images of lambda^0 .. lambda^g under the target."""
+    """Images of lambda^0 .. lambda^g under POINCARE or a counting target."""
     if target.kind == "poincare":
         return [comb(2 * g, a) * IntPoly.x(a) for a in range(g + 1)]
-    if target.kind == "hodge":
-        return [IntPoly2({(i, a - i): comb(g, i) * comb(g, a - i) for i in range(a + 1)})
-                for a in range(g + 1)]
     if target.kind == "count":
         if target.counting is None:
             raise ValueError("counting realization needs point-count data")
@@ -154,28 +151,49 @@ def _lambda_images(target, g):
 
 @cache
 def _fixed_lambda_images(kind, g):
-    """The images of POINCARE or HODGE, which depend on g alone: built on
-    first use and shared by every later call, so nothing may change them."""
+    """The images of POINCARE, which depend on g alone: built on first use
+    and shared by every later call, so nothing may change them."""
     return tuple(_lambda_images(RealizationTarget(kind), g))
 
 
 def _lefschetz_image(target):
     if target.kind == "poincare":
         return IntPoly.x(2)
-    if target.kind == "hodge":
-        return IntPoly2.monomial(1, 1)
     return target.counting.q
 
 
+def _realize_hodge(g, rows):
+    """The Hodge realization of the rows of ``_lpolys`` by total degree:
+    lambda^a and L = uv are homogeneous of degrees a and 2, so degree D is
+    one int with the coefficient of u^i v^(D-i) in slot i of W bits.  The
+    images are non-negative, so W holds every partial sum if it holds the
+    class with absolute coefficients at u = v = 1 (lambda^a -> C(2g, a))."""
+    bound = sum(prod(comb(2 * g, i + 1) ** ei for i, ei in enumerate(mono))
+                * sum(abs(c) for _, c in terms) for mono, terms in rows)
+    width = _width(bound)
+    lam = [sum(comb(g, i) * comb(g, a - i) << i * width for i in range(a + 1))
+           for a in range(g + 1)]
+    total = {}
+    for mono, terms in rows:
+        image, d = 1, 0
+        for i, ei in enumerate(mono):
+            if ei:
+                image, d = image * lam[i + 1] ** ei, d + (i + 1) * ei
+        for e, c in terms:
+            total[d + 2 * e] = total.get(d + 2 * e, 0) + (c * image << e * width)
+    return IntPoly2._trusted({(i, n - i): c for n, v in total.items()
+                              for i, c in enumerate(_digits(v, width, n + 1)) if c})
+
+
 def realize(series, target):
-    """Apply the target homomorphism to a polynomial class, monomial by
-    monomial: the Laurent polynomial in L that each lambda-monomial carries
-    is summed in place from the images of the powers of L, multiplied by
-    the images of the monomial's factors and added into the running total
-    in place.  A count is summed as a constant IntPoly.  The lambda images of
-    POINCARE and HODGE are built once per genus; those of a counting target
-    depend on its data and are built per call.  The zero class realizes to
-    the int 0.
+    """Apply the target homomorphism to a polynomial class; HODGE by total
+    degree (``_realize_hodge``), the others monomial by monomial: the
+    Laurent polynomial in L that each lambda-monomial carries is summed in
+    place from the images of the powers of L, multiplied by the images of
+    the monomial's factors and added into the running total in place.  A
+    count is summed as a constant IntPoly.  The lambda images of POINCARE
+    are built once per genus; those of a counting target depend on its data
+    and are built per call.  The zero class realizes to the int 0.
     The stored coefficients are taken at face value, so only feed this
     classes that are genuinely polynomial (moduli classes, symmetric
     powers, the Jacobian); a dimensional one valid only from L^e, e > 0, is
@@ -186,10 +204,9 @@ def realize(series, target):
     if target.kind == "count":
         lam = [IntPoly.const(n) for n in _lambda_images(target, series.g)]
         ell = IntPoly.const(_lefschetz_image(target))
-    else:
+    elif target.kind != "hodge":
         lam = _fixed_lambda_images(target.kind, series.g)
         ell = _lefschetz_image(target)
-    ring = type(ell)
     rows = series._lpolys()
     if not rows:
         return 0
@@ -197,6 +214,9 @@ def realize(series, target):
     low, top = min(exponents), max(exponents)
     if low < 0:
         raise ValueError("realization needs nonnegative exponents, got L^%d" % low)
+    if target.kind == "hodge":
+        return _realize_hodge(series.g, rows)
+    ring = type(ell)
     powers = [lam[0]]  # the images of L^0, L^1, ..
     while len(powers) <= top:
         powers.append(powers[-1] * ell)

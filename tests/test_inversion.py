@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvemotives.curves import jacobian_class
+from curvemotives.curves import _zeta_numerator, jacobian_class
 from curvemotives.moduli import (
     InversionSpec,
     compositions,
@@ -16,7 +16,7 @@ from curvemotives.moduli import (
     m2_chi,
     m3_chi,
 )
-from curvemotives.series import GenusContext
+from curvemotives.series import GenusContext, zero
 
 
 def test_frac_part_values():
@@ -99,3 +99,45 @@ def test_inversion_consistency_dichotomy():
 def test_inversion_consistency_refuses_other_ranks():
     with pytest.raises(ValueError, match="^rank must be 2 or 3, got 4$"):
         inversion_consistency(GenusContext.adic(2), 4, 1)
+
+
+def _inversion_reference(ctx, spec):
+    """inversion_formula term by term, as it was built before the common
+    denominator: each composition's finite numerator divided by its own
+    units, one div_unit chain per composition, then shifted and signed."""
+    jac = jacobian_class(ctx)
+    total = zero(ctx)
+    for comp in spec.compositions():
+        s = len(comp)
+        term = jac ** s
+        units = [1] * (s - 1)
+        for nj in comp:
+            for i in range(1, nj):
+                term = term * _zeta_numerator(ctx, i)[0]
+                units += [i, i + 1]
+        units += [comp[j] + comp[j + 1] for j in range(s - 1)]
+        for i in units:
+            term = term.div_unit(i)
+        term = term.shift(inversion_exponent(ctx.g, spec, comp))
+        total = total + (-term if s % 2 == 0 else term)
+    return total
+
+
+def _inversion_outcome(build, ctx, spec):
+    """The class as JSON, which holds its validity range, or the error."""
+    try:
+        return build(ctx, spec).to_json()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2)])
+def test_inversion_formula_matches_termwise_reference(n, d):
+    # g = 2..4, window floors 0 and -2, every ceiling from 0 to 44
+    spec = InversionSpec(n, d)
+    for g in (2, 3, 4):
+        for lo in (0, -2):
+            for hi in range(0, 45):
+                ctx = GenusContext.adic(g, hi=hi, lo=lo)
+                assert (_inversion_outcome(inversion_formula, ctx, spec)
+                        == _inversion_outcome(_inversion_reference, ctx, spec)), (g, lo, hi)

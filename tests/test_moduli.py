@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from curvemotives.curves import jacobian_class, sym_power_class, zeta_at_lefschetz
 from curvemotives.moduli import (
@@ -32,7 +34,8 @@ from curvemotives.moduli import (
     x_identity_all,
     x_identity_delta,
 )
-from curvemotives.series import CoeffPoly, GenusContext, lefschetz_power, one
+from curvemotives.series import (CoeffPoly, GenusContext, MotiveSeries, lefschetz_power, one,
+                                  zero)
 
 
 def test_m2_genus2_table():
@@ -96,6 +99,59 @@ def test_template_class_accumulates_duplicate_exponents():
     ctx = GenusContext.adic(2)
     doubled = template_class(ctx, [((0, 0), (2, 2))])
     assert doubled.coefficient(2) == 2
+
+
+def _template_reference(ctx, blocks):
+    """template_class block by block, as it was built before the blocks were
+    grouped by their first index: the product of the block's symmetric
+    powers times the sum of its L powers."""
+    sym = {k: sym_power_class(ctx, k) for k in {k for ks, _ in blocks for k in ks}}
+    out = zero(ctx)
+    for ks, exps in blocks:
+        base = sym[ks[0]]
+        for k in ks[1:]:
+            base = base * sym[k]
+        emap = {}
+        for e in exps:
+            emap[e] = emap.get(e, 0) + 1
+        out = out + base * MotiveSeries(ctx, emap)
+    return out
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_template_class_matches_blockwise_reference_on_every_window(g):
+    # every adic ceiling 0..10g+10 and every dimensional floor -(10g+10)..0
+    ctxs = [GenusContext.adic(g, hi=hi) for hi in range(0, 10 * g + 11)]
+    ctxs += [GenusContext.dimensional(g, lo=lo) for lo in range(-(10 * g + 10), 1)]
+    for blocks in (rank2_template_blocks(g), rank3_template_blocks(g)):
+        for ctx in ctxs:
+            assert (_outcome(lambda c: template_class(c, blocks), ctx)
+                    == _outcome(lambda c: _template_reference(c, blocks), ctx)), ctx
+
+
+@st.composite
+def _template_cases(draw):
+    g = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        ctx = GenusContext.adic(g, hi=draw(st.integers(0, 8 * g)))
+    else:
+        ctx = GenusContext.dimensional(g, lo=draw(st.integers(-(10 * g + 10), 0)))
+    block = st.tuples(st.lists(st.integers(0, 2 * g), min_size=1, max_size=3).map(tuple),
+                      st.lists(st.integers(0, 8 * g - 8), min_size=1, max_size=3).map(tuple))
+    blocks = draw(st.lists(block, min_size=1, max_size=5))
+    # duplicated blocks, and blocks with a repeated exponent
+    blocks += draw(st.lists(st.sampled_from(blocks), max_size=2))
+    ks, exps = draw(st.sampled_from(blocks))
+    blocks.append((ks, exps + exps[:1]))
+    return ctx, blocks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_template_cases())
+def test_template_class_matches_blockwise_reference_on_random_blocks(case):
+    ctx, blocks = case
+    assert (_outcome(lambda c: template_class(c, blocks), ctx)
+            == _outcome(lambda c: _template_reference(c, blocks), ctx))
 
 
 def test_bun_and_bgm():

@@ -1,6 +1,7 @@
 """Numeric realizations, counting data, and the independent oracles."""
 
 import operator
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -233,11 +234,19 @@ def test_count_genus_mismatch_rejected():
 # -- the monomial-by-monomial realization as the reference -----------------
 
 
+def _reference_images(target, g):
+    """The images of lambda^0 .. lambda^g and of L; those of HODGE as the
+    bivariate polynomials sum_i C(g, i) C(g, a-i) u^i v^(a-i) and uv."""
+    if target is HODGE:
+        return ([IntPoly2({(i, a - i): comb(g, i) * comb(g, a - i) for i in range(a + 1)})
+                 for a in range(g + 1)], IntPoly2.monomial(1, 1))
+    return _lambda_images(target, g), _lefschetz_image(target)
+
+
 def _realize_reference(series, target):
     """Realization summed monomial by monomial, each term multiplied out
     factor by factor and times the image of L^e."""
-    lam = _lambda_images(target, series.g)
-    ell = _lefschetz_image(target)
+    lam, ell = _reference_images(target, series.g)
     total = 0
     for e, c in series.coeffs.items():
         if e < 0:
@@ -264,7 +273,7 @@ def _assert_same_realization(cls):
         assert type(got) is type(want) and got == want
 
 
-@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7, 8])
 def test_realize_matches_reference_on_named_classes(g):
     ctx = GenusContext.adic(g)
     for cls in [m2_chi(ctx), m3_chi(ctx), jacobian_class(ctx)] + [
@@ -273,18 +282,47 @@ def test_realize_matches_reference_on_named_classes(g):
 
 
 def test_shared_lambda_images_survive_repeated_calls():
-    # realize shares the POINCARE/HODGE images of lambda^0..lambda^g between
-    # calls; a product or sum that accumulated into one of them in place
-    # would change every later result
-    fresh = {(t.kind, g): [dict(p.terms) for p in _lambda_images(t, g)]
-              for t in (POINCARE, HODGE) for g in (2, 3, 4)}
+    # realize shares the POINCARE images of lambda^0..lambda^g between calls;
+    # a product or sum that accumulated into one of them in place would
+    # change every later result
+    fresh = {g: [dict(p.terms) for p in _lambda_images(POINCARE, g)] for g in (2, 3, 4)}
     for g in (3, 2, 4, 2, 3, 4):
         ctx = GenusContext.adic(g)
         for cls in [m2_chi(ctx), jacobian_class(ctx)] + [
                 sym_power_class(ctx, k) for k in range(0, 2 * g + 1)]:
             _assert_same_realization(cls)
-    for (kind, g), terms in fresh.items():
-        assert [p.terms for p in _fixed_lambda_images(kind, g)] == terms
+    for g, terms in fresh.items():
+        assert [p.terms for p in _fixed_lambda_images(POINCARE.kind, g)] == terms
+
+
+def test_hodge_slots_hold_the_whole_realization():
+    # coefficients near 2^70: a slot as wide as the largest class
+    # coefficient, or a fixed 64 bits, would overflow in the products and
+    # sums of the images
+    for g in (2, 3):
+        ctx, big = GenusContext.adic(g, hi=6), 2 ** 70 - 1
+        unit, sq, l2 = (0,) * g, (2,) + (0,) * (g - 1), (0, 1) + (0,) * (g - 2)
+        cls = MotiveSeries(ctx, {0: CoeffPoly(g, {sq: big, l2: -big, unit: 3}),
+                                 1: CoeffPoly(g, {sq: big - 2, unit: -big}),
+                                 3: CoeffPoly(g, {l2: big})})
+        got = realize(cls, HODGE)
+        assert got == _realize_reference(cls, HODGE)
+        assert max(map(abs, got.terms.values())) > 2 ** 72
+
+
+def test_hodge_zero_class_and_refusals():
+    ctx = GenusContext.adic(2)
+    assert type(realize(MotiveSeries(ctx), HODGE)) is int
+    assert realize(MotiveSeries(ctx), HODGE) == 0
+    # l1^2 - 4 l2 + 8 L is nonzero, but its image (2u+2v)^2 - 4(u^2+4uv+v^2)
+    # + 8uv is the zero polynomial
+    cancels = MotiveSeries(ctx, {0: CoeffPoly(2, {(2, 0): 1, (0, 1): -4}), 1: 8})
+    got = realize(cancels, HODGE)
+    assert type(got) is IntPoly2 and got.terms == {}
+    assert got == _realize_reference(cancels, HODGE)
+    dctx = GenusContext.dimensional(2)
+    with pytest.raises(ValueError, match=r"^realization needs nonnegative exponents, got L\^-1$"):
+        realize(MotiveSeries(dctx, {-1: CoeffPoly.one(2), 0: CoeffPoly.one(2)}), HODGE)
 
 
 @st.composite
