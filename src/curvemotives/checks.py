@@ -426,16 +426,23 @@ def resolve_workers(workers=None):
 
 
 def run_suite(genus_list, check_ids=None, window=None, workers=1):
-    """Run exactly the tasks that ``plan`` makes of the request, in its
-    (check, genus) order regardless of worker count.  ``workers`` is
-    resolved by ``resolve_workers``."""
+    """Run exactly the tasks that ``plan`` makes of the request, genus by genus
+    with the class cache open (``curves.open_cache``), and return their
+    reports in plan order.  ``workers`` is resolved by ``resolve_workers``."""
     tasks = plan(genus_list, check_ids, window)
     workers = resolve_workers(workers)
+    by_genus = sorted(tasks, key=lambda task: task[::-1])
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_check, cid, g, window) for cid, g in tasks]
-            return [f.result() for f in futures]
-    return [run_check(cid, g, window) for cid, g in tasks]
+        # a worker's cache ends with the pool
+        with ProcessPoolExecutor(max_workers=workers, initializer=curves.open_cache) as pool:
+            futures = {task: pool.submit(run_check, *task, window) for task in by_genus}
+            return [futures[task].result() for task in tasks]
+    curves.open_cache()
+    try:
+        reports = {task: run_check(*task, window) for task in by_genus}
+    finally:
+        curves.close_cache()
+    return [reports[task] for task in tasks]
 
 
 def count_verdicts(reports):

@@ -11,8 +11,9 @@ same rule for the moduli pipelines.
 
 from __future__ import annotations
 
-from .series import (CoeffPoly, Mode, MotiveSeries, _basis_row, _run_class, lambda_class,
-                     lefschetz_power, one)
+import functools
+
+from .series import Mode, MotiveSeries, _basis_row, _run_class, lambda_class
 
 __all__ = [
     "sym_power_class",
@@ -27,6 +28,38 @@ __all__ = [
     "check_functional_equation",
     "check_symmetric_power_decomposition",
 ]
+
+
+# while open: the classes of one genus, keyed by (build, context, arguments)
+_cache = {"genus": None, "classes": None}
+
+
+def open_cache():
+    """Open the class cache: each class is built once per context, and the
+    cache is emptied when a class of another genus is asked for, so a run
+    that goes genus by genus holds one genus at a time."""
+    _cache.update(genus=None, classes={})
+
+
+def close_cache():
+    """Close the class cache: until it is opened again, every class is built."""
+    _cache.update(genus=None, classes=None)
+
+
+def cached(build):
+    """``build(ctx, ...)``, memoized by (class, context) while the class
+    cache is open.  A class is shared as is: no operation changes a MotiveSeries."""
+    @functools.wraps(build)
+    def wrapper(ctx, *args, **kwargs):
+        if _cache["classes"] is None:
+            return build(ctx, *args, **kwargs)
+        if _cache["genus"] != ctx.g:
+            _cache.update(genus=ctx.g, classes={})
+        classes, key = _cache["classes"], (build, ctx, args, tuple(sorted(kwargs.items())))
+        if key not in classes:
+            classes[key] = build(ctx, *args, **kwargs)
+        return classes[key]
+    return wrapper
 
 
 def _h1_runs(g, m):
@@ -45,6 +78,7 @@ def _sym_runs(g, k, shift=0):
         yield mono, off + shift, k - b + 1, 1
 
 
+@cached
 def sym_power_class(ctx, k: int) -> MotiveSeries:
     """Class of the k-th symmetric power of the curve (k >= 0)."""
     if k < 0:
@@ -52,6 +86,7 @@ def sym_power_class(ctx, k: int) -> MotiveSeries:
     return _run_class(ctx, _sym_runs(ctx.g, k))
 
 
+@cached
 def jacobian_class(ctx) -> MotiveSeries:
     """Class of the Jacobian: the sum of all exterior powers 0..2g."""
     return _run_class(ctx, _h1_runs(ctx.g, 0))
@@ -99,6 +134,7 @@ def zeta_series(ctx, t_max: int | None = None) -> ZetaSeries:
     return ZetaSeries(ctx, t_max)
 
 
+@cached
 def zeta_at_lefschetz(ctx, i: int) -> MotiveSeries:
     """Zeta function evaluated at t = L^i, summed termwise across the window.
 
@@ -178,15 +214,13 @@ def check_zeta_rationality(ctx, t_max: int | None = None):
     Returns [(label, Comparison), ...], one entry per t-degree up to t_max.
     """
     z = zeta_series(ctx, t_max)
-    ell = lefschetz_power(ctx, 1)
-    unit = one(ctx)
     steps = []
     for k in range(0, z.t_max + 1):
         p = z.coeff(k)
         if k >= 1:
-            p = p - (unit + ell) * z.coeff(k - 1)
+            p = p - z.coeff(k - 1) - z.coeff(k - 1).shift(1)
         if k >= 2:
-            p = p + ell * z.coeff(k - 2)
+            p = p + z.coeff(k - 2).shift(1)
         want = lambda_class(ctx, k) if k <= 2 * ctx.g else MotiveSeries(ctx)
         steps.append(("t^%d" % k, p.equals(want)))
     return steps
@@ -216,7 +250,7 @@ def check_symmetric_power_decomposition(ctx, k: int):
     g = ctx.g
     if k < g:
         raise ValueError("decomposition needs k >= g, got k=%d < g=%d" % (k, g))
-    ladder = MotiveSeries(ctx, {e: CoeffPoly.one(g) for e in range(0, k - g + 1)})
+    ladder = _run_class(ctx, [((0,) * g, 0, k - g + 1, 1)])  # 1 + L + .. + L^{k-g}
     rhs = jacobian_class(ctx) * ladder
     if k <= 2 * g - 2:
         rhs = rhs + sym_power_class(ctx, 2 * g - 2 - k).shift(k - g + 1)

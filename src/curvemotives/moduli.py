@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .curves import (
     _zeta_numerator,
+    cached,
     dec_zeta_finite_part,
     jacobian_class,
     sym_power_class,
@@ -128,6 +129,7 @@ def _hn_quadratic(ctx):
 # -- adic-mode pipelines ---------------------------------------------------
 
 
+@cached
 def bun_chi(ctx, r: int) -> MotiveSeries:
     """Class of the stack of rank-r bundles with fixed odd-degree determinant:
     the product of the zeta evaluations at L^1 .. L^{r-1} (see _stack)."""
@@ -169,6 +171,7 @@ def _moduli_class(ctx, r, min_ceiling, unstable):
     return out
 
 
+@cached
 def m2_chi(ctx) -> MotiveSeries:
     """Rank-2 fixed-determinant moduli class, a polynomial in [0, 3g-3]."""
     return _moduli_class(ctx, 2, rank2_min_ceiling, unstable_rank2_chi)
@@ -195,6 +198,7 @@ def template_class(ctx, blocks) -> MotiveSeries:
     return sum((sym[k1] * partner for k1, partner in partners.items()), zero(ctx))
 
 
+@cached
 def rank2_decomposition(ctx) -> MotiveSeries:
     """Symmetric-power decomposition of the rank-2 moduli class:
     sum_{k=0}^{g-2} [C_k](L^k + L^{3g-3-2k}) + [C_{g-1}] L^{g-1}."""
@@ -230,6 +234,7 @@ def _unstable_rank3_raw(ctx) -> MotiveSeries:
     return lin.shift(2 * g) + lin.shift(2 * g - 1) - quad
 
 
+@cached
 def m3_chi(ctx) -> MotiveSeries:
     """Rank-3 fixed-determinant moduli class, a polynomial in [0, 8g-8]."""
     return _moduli_class(ctx, 3, rank3_min_ceiling, unstable_rank3_chi)
@@ -455,6 +460,7 @@ def _rehome(ctx, build, margin, floor):
     return closed.restricted(w.lo) + MotiveSeries(ctx, valid_lo=floor)
 
 
+@cached
 def behrend_dhillon_bun(ctx, r: int) -> MotiveSeries:
     """Dimensional-mode bundle-stack class:
     L^{(r^2-1)(g-1)} prod_{i=2}^{r} Z(C, L^{-i}), which is _stack at
@@ -480,6 +486,7 @@ def unstable_rank2_var_closed(ctx) -> MotiveSeries:
     return _unstable_rank2(ctx, Mode.DIMENSIONAL)
 
 
+@cached
 def unstable_rank2_var_sum(ctx) -> MotiveSeries:
     """Rank-2 unstable class summed stratum by stratum: the destabilizing
     line subbundle of degree d >= 1 contributes [J] L^{g-2d} / (L-1).
@@ -504,6 +511,7 @@ def m2_var(ctx) -> MotiveSeries:
     return behrend_dhillon_bun(ctx, 2) - unstable_rank2_var_sum(ctx)
 
 
+@cached
 def m3_var(ctx) -> MotiveSeries:
     """Dimensional-mode rank-3 moduli class: the stack minus the
     Harder-Narasimhan terms of unstable_rank3_chi, the same rational

@@ -17,13 +17,11 @@ or the constructor refuses the data.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
 from math import comb, isqrt, prod
 
-from .polys import IntPoly, IntPoly2, add_into
+from .polys import IntPoly, IntPoly2
 from .series import Mode, _digits, _width
 
 __all__ = [
@@ -135,33 +133,6 @@ def count_target(data: CountingData) -> RealizationTarget:
     return RealizationTarget("count", data)
 
 
-def _lambda_images(target, g):
-    """Images of lambda^0 .. lambda^g under POINCARE or a counting target."""
-    if target.kind == "poincare":
-        return [comb(2 * g, a) * IntPoly.x(a) for a in range(g + 1)]
-    if target.kind == "count":
-        if target.counting is None:
-            raise ValueError("counting realization needs point-count data")
-        if target.counting.g != g:
-            raise ValueError("point-count data is for genus %d, class has genus %d"
-                             % (target.counting.g, g))
-        return [target.counting.lambda_count(a) for a in range(g + 1)]
-    raise ValueError("unknown realization target %r" % (target.kind,))
-
-
-@cache
-def _fixed_lambda_images(kind, g):
-    """The images of POINCARE, which depend on g alone: built on first use
-    and shared by every later call, so nothing may change them."""
-    return tuple(_lambda_images(RealizationTarget(kind), g))
-
-
-def _lefschetz_image(target):
-    if target.kind == "poincare":
-        return IntPoly.x(2)
-    return target.counting.q
-
-
 def _realize_hodge(g, rows):
     """The Hodge realization of the rows of ``_lpolys`` by total degree:
     lambda^a and L = uv are homogeneous of degrees a and 2, so degree D is
@@ -186,14 +157,12 @@ def _realize_hodge(g, rows):
 
 
 def realize(series, target):
-    """Apply the target homomorphism to a polynomial class; HODGE by total
-    degree (``_realize_hodge``), the others monomial by monomial: the
-    Laurent polynomial in L that each lambda-monomial carries is summed in
-    place from the images of the powers of L, multiplied by the images of
-    the monomial's factors and added into the running total in place.  A
-    count is summed as a constant IntPoly.  The lambda images of POINCARE
-    are built once per genus; those of a counting target depend on its data
-    and are built per call.  The zero class realizes to the int 0.
+    """Apply the target homomorphism to a polynomial class, by total degree:
+    lambda^a and L are homogeneous of degrees a and 2, so a lambda-monomial
+    of degree d maps to an integer, and its coefficient c at L^e adds c
+    times that integer times the image of L^e in degree d + 2e.  POINCARE
+    keeps the degrees, a count sums them and HODGE packs each degree in one
+    int (``_realize_hodge``).  The zero class realizes to the int 0.
     The stored coefficients are taken at face value, so only feed this
     classes that are genuinely polynomial (moduli classes, symmetric
     powers, the Jacobian); a dimensional one valid only from L^e, e > 0, is
@@ -201,33 +170,36 @@ def realize(series, target):
     if series.mode is Mode.DIMENSIONAL and series.valid_lo > 0:
         raise ValueError("realization needs the class from L^0 up; this dimensional "
                          "class is valid only from L^%d" % series.valid_lo)
-    if target.kind == "count":
-        lam = [IntPoly.const(n) for n in _lambda_images(target, series.g)]
-        ell = IntPoly.const(_lefschetz_image(target))
+    g, data = series.g, target.counting
+    if target.kind == "poincare":  # C(2g, a) and 1 stand for C(2g, a) t^a and t^2
+        lam, ell = [comb(2 * g, a) for a in range(g + 1)], 1
+    elif target.kind == "count":
+        if data is None:
+            raise ValueError("counting realization needs point-count data")
+        if data.g != g:
+            raise ValueError("point-count data is for genus %d, class has genus %d" % (data.g, g))
+        lam, ell = [data.lambda_count(a) for a in range(g + 1)], data.q
     elif target.kind != "hodge":
-        lam = _fixed_lambda_images(target.kind, series.g)
-        ell = _lefschetz_image(target)
+        raise ValueError("unknown realization target %r" % (target.kind,))
     rows = series._lpolys()
     if not rows:
         return 0
-    exponents = [e for _, terms in rows for e, _ in terms]
-    low, top = min(exponents), max(exponents)
+    low = min(e for _, terms in rows for e, _ in terms)
     if low < 0:
         raise ValueError("realization needs nonnegative exponents, got L^%d" % low)
     if target.kind == "hodge":
-        return _realize_hodge(series.g, rows)
-    ring = type(ell)
-    powers = [lam[0]]  # the images of L^0, L^1, ..
-    while len(powers) <= top:
-        powers.append(powers[-1] * ell)
+        return _realize_hodge(g, rows)
     total = {}
     for mono, terms in rows:
-        value = {}
+        image, d = 1, 0
+        for i, ei in enumerate(mono):
+            if ei:
+                image, d = image * lam[i + 1] ** ei, d + (i + 1) * ei
         for e, c in terms:
-            add_into(value, powers[e].terms, c)
-        factors = (lam[i + 1] ** ei for i, ei in enumerate(mono) if ei)
-        add_into(total, reduce(operator.mul, factors, ring._trusted(value)).terms)
-    return total.get(0, 0) if target.kind == "count" else ring._trusted(total)
+            total[d + 2 * e] = total.get(d + 2 * e, 0) + c * image * ell ** e
+    if target.kind == "count":
+        return sum(total.values())
+    return IntPoly._trusted({n: c for n, c in total.items() if c})
 
 
 def newstead_oracle(g: int) -> IntPoly:

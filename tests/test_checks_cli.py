@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from curvemotives import curves, moduli
+from curvemotives import checks, curves, moduli
 from curvemotives.polys import IntPoly2
 from curvemotives.realize import POINCARE, realize
 from curvemotives.series import GenusContext, lefschetz_power
@@ -14,6 +14,7 @@ from curvemotives.series import GenusContext, lefschetz_power
 from curvemotives.checks import (
     available_checks,
     check_statement,
+    plan,
     reports_to_json,
     run_check,
     run_suite,
@@ -239,6 +240,103 @@ def test_parallel_matches_serial():
     strip = lambda rs: [{k: v for k, v in r.to_json_obj().items()
                          if k != "wall_time"} for r in rs]
     assert strip(serial) == strip(parallel)
+
+
+def _masked(reports):
+    return [{k: v for k, v in r.to_json_obj().items() if k != "wall_time"}
+            for r in reports]
+
+
+@pytest.mark.parametrize("window", [None, (0, 40)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_suite_equals_run_check_task_by_task(workers, window):
+    # the tasks run genus by genus, with a class cache; the reports come
+    # back in plan order and equal those of the uncached tasks
+    want = [run_check(cid, g, window) for cid, g in plan([2, 3], window=window)]
+    got = run_suite([2, 3], window=window, workers=workers)
+    assert _masked(got) == _masked(want)
+
+
+def _is_cached(ctx):
+    return curves.jacobian_class(ctx) is curves.jacobian_class(ctx)
+
+
+def test_run_suite_closes_the_class_cache(monkeypatch):
+    ctx = GenusContext.adic(2)
+    assert not _is_cached(ctx)
+    run_suite([2, 3], ["rank2", "symmpro"])
+    assert not _is_cached(ctx)
+
+    def broken(ctx):
+        assert _is_cached(ctx)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(moduli, "rank2_decomposition", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_suite([2], ["rank2"])
+    assert not _is_cached(ctx)
+
+
+def test_cached_builders_take_keyword_arguments():
+    ctx = GenusContext.adic(3, hi=30)
+    want = [curves.sym_power_class(ctx, 3).to_json(), moduli.bun_chi(ctx, 2).to_json()]
+    curves.open_cache()
+    try:
+        for _ in range(2):
+            assert [curves.sym_power_class(ctx, k=3).to_json(),
+                    moduli.bun_chi(ctx, r=2).to_json()] == want
+        assert curves.sym_power_class(ctx, k=3) is curves.sym_power_class(ctx, k=3)
+    finally:
+        curves.close_cache()
+
+
+def test_a_patch_between_two_suites_takes_effect(monkeypatch):
+    assert run_suite([2], ["rank2"])[0].verdict == "pass"
+    unstable = moduli.unstable_rank2_chi
+    monkeypatch.setattr(moduli, "unstable_rank2_chi", lambda ctx: unstable(ctx) + 1)
+    assert run_suite([2], ["rank2"])[0].verdict == "fail"
+
+
+def test_each_moduli_class_is_built_once_per_genus_in_a_suite(monkeypatch):
+    built = []
+    build = moduli._moduli_class
+
+    def counting(ctx, r, *rest):
+        built.append((ctx.g, r))
+        return build(ctx, r, *rest)
+
+    monkeypatch.setattr(moduli, "_moduli_class", counting)
+    ids = ["rank3", "inversion-consistency", "behrend-dhillon", "var-rank3",
+           "realize-hodge-consistency"]
+    run_suite([2, 3], ids)
+    assert sorted(built) == [(2, 2), (2, 3), (3, 2), (3, 3)]
+    # run_check outside a suite builds every class it uses afresh
+    built.clear()
+    for cid in ids:
+        run_check(cid, 2)
+    assert sorted(built) == [(2, 2)] * 3 + [(2, 3)] * 5
+
+
+def test_cached_classes_survive_every_check_that_reads_them(monkeypatch):
+    # the cache of each genus as the suite leaves it, after every check of
+    # that genus has read its classes
+    caches, order = {}, []
+
+    def spying(cid, g, window=None):
+        report = run_check(cid, g, window)
+        order.append((g, cid))
+        caches[g] = curves._cache["classes"]
+        return report
+
+    monkeypatch.setattr(checks, "run_check", spying)
+    run_suite([2, 3])
+    assert order == sorted(order)  # genus-major
+    for g, classes in caches.items():
+        # one genus at a time
+        assert len(classes) > 20 and {ctx.g for _, ctx, _, _ in classes} == {g}
+        for (build, ctx, args, kwargs), cls in classes.items():
+            fresh = build(ctx, *args, **dict(kwargs))
+            assert cls.validate() and cls.to_json() == fresh.to_json()
 
 
 def test_reports_to_json_shape():

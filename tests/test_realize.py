@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 
 from curvemotives.curves import jacobian_class, sym_power_class
 from curvemotives.moduli import m2_chi, m2_var, m3_chi, rank2_decomposition
-from curvemotives.realize import _fixed_lambda_images, _lambda_images, _lefschetz_image
 from curvemotives.polys import IntPoly, IntPoly2
 from curvemotives.realize import (
     HODGE,
@@ -235,12 +234,15 @@ def test_count_genus_mismatch_rejected():
 
 
 def _reference_images(target, g):
-    """The images of lambda^0 .. lambda^g and of L; those of HODGE as the
-    bivariate polynomials sum_i C(g, i) C(g, a-i) u^i v^(a-i) and uv."""
+    """The images of lambda^0 .. lambda^g and of L: C(2g, a) t^a and t^2
+    (POINCARE), the bivariate polynomials sum_i C(g, i) C(g, a-i) u^i v^(a-i)
+    and uv (HODGE), or the integers lambda_count(a) and q (a count)."""
+    if target is POINCARE:
+        return [comb(2 * g, a) * IntPoly.x(a) for a in range(g + 1)], IntPoly.x(2)
     if target is HODGE:
         return ([IntPoly2({(i, a - i): comb(g, i) * comb(g, a - i) for i in range(a + 1)})
                  for a in range(g + 1)], IntPoly2.monomial(1, 1))
-    return _lambda_images(target, g), _lefschetz_image(target)
+    return [target.counting.lambda_count(a) for a in range(g + 1)], target.counting.q
 
 
 def _realize_reference(series, target):
@@ -282,17 +284,17 @@ def test_realize_matches_reference_on_named_classes(g):
 
 
 def test_shared_lambda_images_survive_repeated_calls():
-    # realize shares the POINCARE images of lambda^0..lambda^g between calls;
-    # a product or sum that accumulated into one of them in place would
-    # change every later result
-    fresh = {g: [dict(p.terms) for p in _lambda_images(POINCARE, g)] for g in (2, 3, 4)}
+    # repeated realizations, the genera interleaved, give the reference
+    # result every time and the same result as the first call: nothing a
+    # call leaves behind may change a later one
+    first = {}
     for g in (3, 2, 4, 2, 3, 4):
         ctx = GenusContext.adic(g)
-        for cls in [m2_chi(ctx), jacobian_class(ctx)] + [
-                sym_power_class(ctx, k) for k in range(0, 2 * g + 1)]:
+        for name, cls in [("m2", m2_chi(ctx)), ("jac", jacobian_class(ctx))] + [
+                (k, sym_power_class(ctx, k)) for k in range(0, 2 * g + 1)]:
             _assert_same_realization(cls)
-    for g, terms in fresh.items():
-        assert [p.terms for p in _fixed_lambda_images(POINCARE.kind, g)] == terms
+            got = [realize(cls, target) for target in _targets(g)]
+            assert first.setdefault((g, name), got) == got
 
 
 def test_hodge_slots_hold_the_whole_realization():
@@ -323,6 +325,23 @@ def test_hodge_zero_class_and_refusals():
     dctx = GenusContext.dimensional(2)
     with pytest.raises(ValueError, match=r"^realization needs nonnegative exponents, got L\^-1$"):
         realize(MotiveSeries(dctx, {-1: CoeffPoly.one(2), 0: CoeffPoly.one(2)}), HODGE)
+
+
+def test_poincare_and_count_zero_class_and_cancellation():
+    ctx = GenusContext.adic(2)
+    data = genus2_fixture_counts()
+    for target in (POINCARE, count_target(data)):
+        assert type(realize(MotiveSeries(ctx), target)) is int
+        assert realize(MotiveSeries(ctx), target) == 0
+    # l1^2 - 16 L is nonzero, but its image (4t)^2 - 16 t^2 is zero
+    got = realize(MotiveSeries(ctx, {0: CoeffPoly(2, {(2, 0): 1}), 1: -16}), POINCARE)
+    assert type(got) is IntPoly and got.terms == {}
+    # and the count of l1 - N + 3 l2 - l2 L, N the count of l1, is zero at q = 3
+    cls = MotiveSeries(ctx, {0: CoeffPoly(2, {(1, 0): 1, (0, 1): 3,
+                                              (0, 0): -data.lambda_count(1)}),
+                             1: CoeffPoly(2, {(0, 1): -1})})
+    assert realize(cls, count_target(data)) == 0
+    assert realize(cls, count_target(data)) == _realize_reference(cls, count_target(data))
 
 
 @st.composite
