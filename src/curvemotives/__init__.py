@@ -51,17 +51,13 @@ from .moduli import (
     m3_chi,
     m3_var,
     rank2_decomposition,
-    rank2_template_blocks,
     rank3_decomposition,
-    rank3_index_pairs,
-    rank3_template_blocks,
+    template_blocks,
     template_class,
     unstable_rank2_chi,
     unstable_rank2_var_closed,
     unstable_rank2_var_sum,
     unstable_rank3_chi,
-    var_rank2_check,
-    var_rank3_check,
     x_identity_all,
     x_identity_delta,
 )

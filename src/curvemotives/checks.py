@@ -191,10 +191,16 @@ def _behrend_dhillon(adic, dim):
 
 
 def _var_rank2(adic, dim):
-    # the last step is the l3-prefactor probe: recorded and noted, never failed
-    *steps, (label, probe) = moduli.var_rank2_check(dim, adic)
-    yield from steps
-    entry = {"step": label, "ok": True, "equal": bool(probe)}
+    # the cached dimensional class is the stack minus the unstable sum; the
+    # l3-prefactor probe reads the stack with an extra L^3 and is recorded
+    # and noted, never failed
+    m2v = moduli.m2_var(dim)
+    template = moduli.rank2_decomposition(dim)
+    yield "decomposition", m2v.equals(template)
+    yield "cross-mode", moduli._cross_mode(m2v, moduli.m2_chi(adic))
+    probe = (moduli.behrend_dhillon_bun(dim, 2).shift(3)
+             - moduli.unstable_rank2_var_sum(dim)).equals(template)
+    entry = {"step": "l3-prefactor-probe", "ok": True, "equal": bool(probe)}
     if probe:
         outcome = "unexpectedly also closes"
     else:
@@ -203,6 +209,12 @@ def _var_rank2(adic, dim):
     yield entry
     yield ("cubic-prefactor: the variant bundle-stack reading with an "
            "extra L^3 prefactor " + outcome)
+
+
+def _var_rank3(adic, dim):
+    m3v = moduli.m3_var(dim)
+    yield "decomposition", m3v.equals(moduli.rank3_decomposition(dim))
+    yield "cross-mode", moduli._cross_mode(m3v, moduli.m3_chi(adic))
 
 
 def _unstable_hn_sum(adic, dim):
@@ -328,8 +340,7 @@ CHECKS = {
         "Dimensional rank-3 pipeline: stack minus Harder-Narasimhan "
         "corrections equals the decomposition template and matches the adic "
         "class.",
-        "dimensional", lambda adic, dim: moduli.var_rank3_check(dim, adic),
-        min_ceiling=moduli.rank3_min_ceiling),
+        "dimensional", _var_rank3, min_ceiling=moduli.rank3_min_ceiling),
     "unstable-rank2-hn-sum": CheckSpec(
         "The stratumwise unstable rank-2 sum (degree-d stratum "
         "[J] L^{g-2d}/(L-1)) equals its closed form [J] L^g/((L-1)(L^2-1)); "
@@ -420,6 +431,8 @@ def resolve_workers(workers=None):
             workers = int(raw)
         except ValueError:
             raise ValueError("%s must be an integer, got %r" % (source, raw)) from None
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise ValueError("%s must be an integer, got %r" % (source, workers))
     if workers < 1:
         raise ValueError("%s must be >= 1, got %d" % (source, workers))
     return workers

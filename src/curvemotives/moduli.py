@@ -16,6 +16,7 @@ stack minus m3_chi).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -46,13 +47,11 @@ __all__ = [
     "unstable_rank2_chi",
     "m2_chi",
     "rank2_min_ceiling",
-    "rank2_template_blocks",
+    "template_blocks",
     "rank2_decomposition",
     "unstable_rank3_chi",
     "m3_chi",
     "rank3_min_ceiling",
-    "rank3_index_pairs",
-    "rank3_template_blocks",
     "rank3_decomposition",
     "template_class",
     "j_squared_cancellation",
@@ -69,8 +68,6 @@ __all__ = [
     "m2_var",
     "m3_var",
     "cross_mode_agreement",
-    "var_rank2_check",
-    "var_rank3_check",
     "x_identity_delta",
     "x_identity_all",
 ]
@@ -177,10 +174,23 @@ def m2_chi(ctx) -> MotiveSeries:
     return _moduli_class(ctx, 2, rank2_min_ceiling, unstable_rank2_chi)
 
 
-def rank2_template_blocks(g):
-    """Blocks of the rank-2 decomposition: (symmetric-power indices, exponents)."""
-    blocks = [((k,), (k, 3 * g - 3 - 2 * k)) for k in range(0, g - 1)]
-    blocks.append(((g - 1,), (g - 1,)))
+def template_blocks(r, g):
+    """Blocks (k, exponents) of the rank-r decomposition, r = 2 or 3: every
+    k = (k_1 .. k_{r-1}) with sum(k) <= (r-1)(g-1), keeping only k_1 <= g-1
+    when sum(k) = (r-1)(g-1), read in (sum(k), k) order.  A block carries
+    e = sum_i i k_i and (r^2-1)(g-1) - sum(k) - e; the middle block
+    (g-1, .., g-1) carries e once.  At rank 4 the rule is no decomposition."""
+    _require_rank(r)
+    top, middle = (r - 1) * (g - 1), (g - 1,) * (r - 1)
+    blocks = []
+    for s in range(top + 1):
+        # (k_1 .. k_{r-2}) in increasing order; k_{r-1} is what s leaves
+        for head in itertools.product(range(s + 1), repeat=r - 2):
+            k = head + (s - sum(head),)
+            if s == top and k[0] > g - 1:
+                continue
+            e = sum(i * ki for i, ki in enumerate(k, 1))
+            blocks.append((k, (e,) if k == middle else (e, (r * r - 1) * (g - 1) - s - e)))
     return blocks
 
 
@@ -202,7 +212,7 @@ def template_class(ctx, blocks) -> MotiveSeries:
 def rank2_decomposition(ctx) -> MotiveSeries:
     """Symmetric-power decomposition of the rank-2 moduli class:
     sum_{k=0}^{g-2} [C_k](L^k + L^{3g-3-2k}) + [C_{g-1}] L^{g-1}."""
-    return template_class(ctx, rank2_template_blocks(ctx.g))
+    return template_class(ctx, template_blocks(2, ctx.g))
 
 
 def unstable_rank3_chi(ctx) -> MotiveSeries:
@@ -240,35 +250,9 @@ def m3_chi(ctx) -> MotiveSeries:
     return _moduli_class(ctx, 3, rank3_min_ceiling, unstable_rank3_chi)
 
 
-def rank3_index_pairs(g):
-    """Index pairs (k1, k2) of the rank-3 decomposition, in reading order:
-    every pair with k1+k2 < 2(g-1), the boundary pairs (k1+k2 = 2(g-1) with
-    k1 < g-1), then the middle pair (g-1, g-1)."""
-    pairs = []
-    for s in range(0, 2 * (g - 1)):
-        for k1 in range(0, s + 1):
-            pairs.append((k1, s - k1))
-    for k1 in range(0, g - 1):
-        pairs.append((k1, 2 * (g - 1) - k1))
-    pairs.append((g - 1, g - 1))
-    return pairs
-
-
-def rank3_template_blocks(g):
-    """Blocks of the rank-3 decomposition.  The middle pair carries the
-    single exponent 3(g-1); everything else the pair (k1+2k2, 8g-8-2k1-3k2)."""
-    blocks = []
-    for k1, k2 in rank3_index_pairs(g):
-        if (k1, k2) == (g - 1, g - 1):
-            blocks.append(((k1, k2), (3 * (g - 1),)))
-        else:
-            blocks.append(((k1, k2), (k1 + 2 * k2, 8 * g - 8 - 2 * k1 - 3 * k2)))
-    return blocks
-
-
 def rank3_decomposition(ctx) -> MotiveSeries:
     """Symmetric-power decomposition of the rank-3 moduli class."""
-    return template_class(ctx, rank3_template_blocks(ctx.g))
+    return template_class(ctx, template_blocks(3, ctx.g))
 
 
 # -- the two intermediate identities behind the rank-3 subtraction ---------
@@ -506,6 +490,7 @@ def unstable_rank2_var_sum(ctx) -> MotiveSeries:
     return out
 
 
+@cached
 def m2_var(ctx) -> MotiveSeries:
     """Dimensional-mode rank-2 moduli class: stack minus unstable sum."""
     return behrend_dhillon_bun(ctx, 2) - unstable_rank2_var_sum(ctx)
@@ -537,7 +522,10 @@ def m3_var(ctx) -> MotiveSeries:
 
 def cross_mode_agreement(x: MotiveSeries, y: MotiveSeries, lo: int, hi: int) -> Comparison:
     """Exact coefficient-table comparison of two series on [lo, hi]; the
-    series may come from different modes (both must be valid there)."""
+    series may come from different modes (both must be valid there).  An
+    empty range raises ValueError."""
+    if lo > hi:
+        raise ValueError("no shared validity range to compare on")
     tx = x.coefficient_table(lo, hi)
     ty = y.coefficient_table(lo, hi)
     zx, zy = CoeffPoly.zero(x.g), CoeffPoly.zero(y.g)
@@ -552,41 +540,6 @@ def _cross_mode(dim: MotiveSeries, adic: MotiveSeries) -> Comparison:
     """cross_mode_agreement on the range both classes cover from L^0 up."""
     return cross_mode_agreement(dim, adic, max(0, dim.valid_lo),
                                 min(dim.valid_hi, adic.valid_hi))
-
-
-def var_rank2_check(ctx, adic_ctx=None):
-    """Dimensional-mode rank-2 pipeline checks.
-
-    * decomposition: stack minus unstable sum equals the rank-2 template;
-    * cross-mode: the dimensional and adic moduli classes have identical
-      coefficient tables on the shared exponent range (both are honest
-      polynomials);
-    * l3-prefactor-probe: the variant reading of the stack class with an
-      extra L^3 prefactor, compared against the template.  It does not
-      close; the mismatch witness lets the caller flag (not fail) it.
-    """
-    _require(ctx, Mode.DIMENSIONAL)
-    bun = behrend_dhillon_bun(ctx, 2)
-    un = unstable_rank2_var_sum(ctx)
-    m2v = bun - un
-    template = rank2_decomposition(ctx)
-    steps = [("decomposition", m2v.equals(template))]
-    if adic_ctx is None:
-        adic_ctx = GenusContext.adic(ctx.g)
-    steps.append(("cross-mode", _cross_mode(m2v, m2_chi(adic_ctx))))
-    steps.append(("l3-prefactor-probe", (bun.shift(3) - un).equals(template)))
-    return steps
-
-
-def var_rank3_check(ctx, adic_ctx=None):
-    """Dimensional-mode rank-3 pipeline checks (decomposition + cross-mode)."""
-    _require(ctx, Mode.DIMENSIONAL)
-    m3v = m3_var(ctx)
-    steps = [("decomposition", m3v.equals(rank3_decomposition(ctx)))]
-    if adic_ctx is None:
-        adic_ctx = GenusContext.adic(ctx.g)
-    steps.append(("cross-mode", _cross_mode(m3v, m3_chi(adic_ctx))))
-    return steps
 
 
 # -- the terminal exponent identity ---------------------------------------

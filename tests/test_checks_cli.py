@@ -317,6 +317,24 @@ def test_each_moduli_class_is_built_once_per_genus_in_a_suite(monkeypatch):
     assert sorted(built) == [(2, 2)] * 3 + [(2, 3)] * 5
 
 
+def test_the_dimensional_rank2_class_is_built_once_per_genus_in_a_suite(monkeypatch):
+    built = []
+    build = moduli.m2_var.__wrapped__
+
+    def counting(ctx):
+        built.append(ctx.g)
+        return build(ctx)
+
+    monkeypatch.setattr(moduli, "m2_var", curves.cached(counting))
+    run_suite([2, 3], ["var-rank2", "behrend-dhillon"])
+    assert built == [2, 3]
+    # both checks read it: each builds it afresh outside a suite
+    built.clear()
+    for cid in ("var-rank2", "behrend-dhillon"):
+        run_check(cid, 2)
+    assert built == [2, 2]
+
+
 def test_cached_classes_survive_every_check_that_reads_them(monkeypatch):
     # the cache of each genus as the suite leaves it, after every check of
     # that genus has read its classes
@@ -496,6 +514,14 @@ def test_checks_never_fail_on_narrow_windows(g):
 def test_run_suite_rejects_worker_counts_below_one():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be >= 1, got %d" % workers):
+            run_suite([2], check_ids=["rank2"], workers=workers)
+
+
+def test_run_suite_rejects_worker_counts_that_are_not_integers():
+    # refused before any pool starts
+    for workers in (2.5, "3", True):
+        with pytest.raises(ValueError, match="^workers must be an integer, got %r$"
+                           % (workers,)):
             run_suite([2], check_ids=["rank2"], workers=workers)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from curvemotives.checks import run_check
 from curvemotives.curves import jacobian_class, sym_power_class, zeta_at_lefschetz
 from curvemotives.moduli import (
     InversionSpec,
@@ -20,17 +21,13 @@ from curvemotives.moduli import (
     m3_chi,
     m3_var,
     rank2_decomposition,
-    rank2_template_blocks,
     rank3_decomposition,
-    rank3_index_pairs,
-    rank3_template_blocks,
+    template_blocks,
     template_class,
     unstable_rank2_chi,
     unstable_rank2_var_closed,
     unstable_rank2_var_sum,
     unstable_rank3_chi,
-    var_rank2_check,
-    var_rank3_check,
     x_identity_all,
     x_identity_delta,
 )
@@ -54,17 +51,60 @@ def test_m2_equals_template():
         assert max(m2_chi(ctx).coeffs) == 3 * g - 3
 
 
+def _rank2_blocks_reference(g):
+    """The rank-2 blocks as they were built before the one block rule."""
+    blocks = [((k,), (k, 3 * g - 3 - 2 * k)) for k in range(0, g - 1)]
+    blocks.append(((g - 1,), (g - 1,)))
+    return blocks
+
+
+def _rank3_index_pairs_reference(g):
+    pairs = []
+    for s in range(0, 2 * (g - 1)):
+        for k1 in range(0, s + 1):
+            pairs.append((k1, s - k1))
+    for k1 in range(0, g - 1):
+        pairs.append((k1, 2 * (g - 1) - k1))
+    pairs.append((g - 1, g - 1))
+    return pairs
+
+
+def _rank3_blocks_reference(g):
+    """The rank-3 blocks as they were built before the one block rule."""
+    blocks = []
+    for k1, k2 in _rank3_index_pairs_reference(g):
+        if (k1, k2) == (g - 1, g - 1):
+            blocks.append(((k1, k2), (3 * (g - 1),)))
+        else:
+            blocks.append(((k1, k2), (k1 + 2 * k2, 8 * g - 8 - 2 * k1 - 3 * k2)))
+    return blocks
+
+
+@pytest.mark.parametrize("g", range(2, 41))
+def test_template_blocks_equal_the_former_builders(g):
+    # same blocks, same order, same multiplicities
+    assert template_blocks(2, g) == _rank2_blocks_reference(g)
+    assert template_blocks(3, g) == _rank3_blocks_reference(g)
+
+
+def test_template_blocks_refuse_other_ranks():
+    # the rule does not decompose the rank-4 class
+    for r in (1, 4):
+        with pytest.raises(ValueError, match="rank must be 2 or 3"):
+            template_blocks(r, 2)
+
+
 def test_rank2_blocks():
-    assert rank2_template_blocks(2) == [((0,), (0, 3)), ((1,), (1,))]
-    assert rank2_template_blocks(3) == [((0,), (0, 6)), ((1,), (1, 4)), ((2,), (2,))]
+    assert template_blocks(2, 2) == [((0,), (0, 3)), ((1,), (1,))]
+    assert template_blocks(2, 3) == [((0,), (0, 6)), ((1,), (1, 4)), ((2,), (2,))]
 
 
 def test_rank3_index_pairs_g2():
-    assert rank3_index_pairs(2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1)]
+    assert [k for k, _ in template_blocks(3, 2)] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1)]
 
 
 def test_rank3_blocks_g2():
-    assert rank3_template_blocks(2) == [
+    assert template_blocks(3, 2) == [
         ((0, 0), (0, 8)),
         ((0, 1), (2, 5)),
         ((1, 0), (1, 6)),
@@ -77,7 +117,7 @@ def test_rank3_block_count():
     # all pairs below the diagonal sum, the truncated boundary row, the middle
     for g in (2, 3, 4, 5, 6):
         want = (2 * g - 1) * (g - 1) + (g - 1) + 1
-        assert len(rank3_template_blocks(g)) == want
+        assert len(template_blocks(3, g)) == want
 
 
 def test_m3_equals_template():
@@ -90,7 +130,7 @@ def test_m3_equals_template():
 def test_m3_g6_duplicate_exponent_block():
     # at g = 6 the block (0, 8) has both exponents equal to 16, so the
     # template must count it twice
-    assert ((0, 8), (16, 16)) in rank3_template_blocks(6)
+    assert ((0, 8), (16, 16)) in template_blocks(3, 6)
     ctx = GenusContext.adic(6)
     assert bool(m3_chi(ctx).equals(rank3_decomposition(ctx)))
 
@@ -123,7 +163,7 @@ def test_template_class_matches_blockwise_reference_on_every_window(g):
     # every adic ceiling 0..10g+10 and every dimensional floor -(10g+10)..0
     ctxs = [GenusContext.adic(g, hi=hi) for hi in range(0, 10 * g + 11)]
     ctxs += [GenusContext.dimensional(g, lo=lo) for lo in range(-(10 * g + 10), 1)]
-    for blocks in (rank2_template_blocks(g), rank3_template_blocks(g)):
+    for blocks in (template_blocks(2, g), template_blocks(3, g)):
         for ctx in ctxs:
             assert (_outcome(lambda c: template_class(c, blocks), ctx)
                     == _outcome(lambda c: _template_reference(c, blocks), ctx)), ctx
@@ -343,6 +383,13 @@ def test_cross_mode_disagreement_is_witnessed():
     assert not cmp and cmp.witness_exponent == 0
 
 
+def test_cross_mode_agreement_refuses_an_empty_range():
+    ctx = GenusContext.adic(2)
+    with pytest.raises(ValueError, match="no shared validity range to compare on"):
+        cross_mode_agreement(one(ctx), one(ctx), 5, 3)
+    assert cross_mode_agreement(one(ctx), one(ctx), 3, 3)
+
+
 def test_comparisons_subtract_only_for_the_witness(monkeypatch):
     dctx, actx = GenusContext.dimensional(2), GenusContext.adic(2)
     mv, ma = m2_var(dctx), m2_chi(actx)
@@ -359,15 +406,16 @@ def test_comparisons_subtract_only_for_the_witness(monkeypatch):
 
 
 def test_var_rank2_check_shape():
-    steps = dict(var_rank2_check(GenusContext.dimensional(2)))
-    assert bool(steps["decomposition"])
-    assert bool(steps["cross-mode"])
-    assert not steps["l3-prefactor-probe"]  # the variant reading fails
+    steps = {d["step"]: d for d in run_check("var-rank2", 2).details}
+    assert steps["decomposition"]["ok"]
+    assert steps["cross-mode"]["ok"]
+    assert steps["l3-prefactor-probe"]["equal"] is False  # the variant reading fails
 
 
 def test_var_rank3_check_passes():
-    steps = var_rank3_check(GenusContext.dimensional(2))
-    assert all(bool(cmp) for _, cmp in steps)
+    report = run_check("var-rank3", 2)
+    assert report.verdict == "pass"
+    assert [d["step"] for d in report.details] == ["decomposition", "cross-mode"]
 
 
 def test_mode_guards():
