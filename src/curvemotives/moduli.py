@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .curves import (
@@ -60,6 +60,7 @@ __all__ = [
     "compositions",
     "InversionSpec",
     "inversion_exponent",
+    "inversion_sum",
     "inversion_formula",
     "inversion_consistency",
     "behrend_dhillon_bun",
@@ -321,17 +322,11 @@ def frac_part(p: int, q: int) -> Fraction:
 
 def compositions(n: int):
     """All ordered tuples of positive integers summing to n (2^{n-1} of
-    them), in lexicographic order."""
+    them), in lexicographic order: one per set of cut points in 1..n-1."""
     if n < 0:
         raise ValueError("compositions need n >= 0, got %d" % n)
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            out.append((first,) + rest)
-    out.sort()
-    return out
+    cuts = (c for k in range(n) for c in itertools.combinations(range(1, n), k))
+    return sorted(tuple(b - a for a, b in zip((0,) + c, c + (n,))) for c in cuts) or [()]
 
 
 @dataclass(frozen=True)
@@ -370,11 +365,11 @@ def inversion_exponent(g: int, spec: InversionSpec, comp) -> int:
     return int(total)
 
 
-def inversion_formula(ctx, spec: InversionSpec) -> MotiveSeries:
-    """The composition-indexed inversion sum for rank n, degree d:
+def inversion_sum(ctx, spec: InversionSpec) -> MotiveSeries:
+    """I(n,d), the composition-indexed sum for rank n, degree d, less one [J]:
 
         sum over compositions (n_1..n_s) of n of
-        (-1)^{s-1} [J]^s / (1-L)^{s-1}
+        (-1)^{s-1} [J]^{s-1} / (1-L)^{s-1}
         * prod_j prod_{i=1}^{n_j - 1} (1+L^i)^{h1} / ((1-L^i)(1-L^{i+1}))
         * prod_j 1/(1-L^{n_j + n_{j+1}})
         * L^{exponent}.
@@ -384,12 +379,11 @@ def inversion_formula(ctx, spec: InversionSpec) -> MotiveSeries:
     denominators that its own lacks, and the sum is divided by the lcm once.
     """
     _require(ctx, Mode.ADIC)
-    g = ctx.g
-    jac = jacobian_class(ctx)
+    g, jac = ctx.g, jacobian_class(ctx)
     terms, lcm = [], Counter()
     for comp in spec.compositions():
         s = len(comp)
-        term = jac ** s
+        term = jac ** (s - 1)
         units = Counter({1: s - 1})
         for nj in comp:
             for i in range(1, nj):
@@ -409,17 +403,35 @@ def inversion_formula(ctx, spec: InversionSpec) -> MotiveSeries:
     return total
 
 
+def inversion_formula(ctx, spec: InversionSpec) -> MotiveSeries:
+    """The composition-indexed inversion sum: [J] ``inversion_sum``."""
+    return jacobian_class(ctx) * inversion_sum(ctx, spec)
+
+
+def _product_equals(x, y, m) -> Comparison:
+    """(x * y).equals(m), adic, the product built on windows narrowed by
+    ``restricted``, doubled until a slot differs (a coefficient at L^e reads
+    exponents <= e only), else whole; the range is the product's by its rule."""
+    lo, far, top = x.ctx.window.lo, x._product_far(y), max(x._near(), y._near(), 1)
+    while top < far:
+        xs, ys, ms = (s.restricted(hi=lo + top) for s in (x, y, m))
+        if xs._product_far(ys) != top:
+            break
+        if not (cmp := (xs * ys).equals(ms)):
+            return replace(cmp, hi=min(lo + far, m.valid_hi))
+        top *= 2
+    return (x * y).equals(m)
+
+
 def inversion_consistency(ctx, r: int, d: int = 1):
-    """Compare the inversion sum against the fixed-determinant moduli class
-    and against the Jacobian times that class.  Returns both comparisons as
-    [(label, Comparison), ...]; exactly one of them should hold."""
+    """Compare the inversion sum [J] I(n,d) against the fixed-determinant
+    moduli class, and I(n,d) against it, which decides [J] I = [J] M on the
+    same range.  Returns [(label, Comparison), ...]; exactly one should hold."""
     _require_rank(r)
-    inv = inversion_formula(ctx, InversionSpec(r, d))
+    i = inversion_sum(ctx, InversionSpec(r, d))
     m = m2_chi(ctx) if r == 2 else m3_chi(ctx)
-    return [
-        ("fixed-determinant", inv.equals(m)),
-        ("jacobian-times-fixed-determinant", inv.equals(jacobian_class(ctx) * m)),
-    ]
+    return [("fixed-determinant", _product_equals(jacobian_class(ctx), i, m)),
+            ("jacobian-times-fixed-determinant", i.equals(m))]
 
 
 # -- dimensional-mode pipelines --------------------------------------------

@@ -585,15 +585,7 @@ class MotiveSeries:
             return MotiveSeries._trusted(self.ctx, packed, width, bound, self.far)
         if not isinstance(other, MotiveSeries):
             return NotImplemented
-        self._require_same_ctx(other)
-        w = self.ctx.window
-        base = -w.slot(0)
-        nx, ny = self._near(), other._near()
-        if self.packed and other.packed and nx + ny + base < 0:
-            raise ValueError(_PAST_EXACT_END[self.mode]["product"])
-        far = min(w.hi - w.lo, self.far + ny + base, other.far + nx + base)
-        if far < 0:
-            raise ValueError("product has empty validity range (window too narrow)")
+        far, base = self._product_far(other), -self.ctx.window.slot(0)
         packed, bound = {}, 0
         if self.packed and other.packed:
             (lx, hx, tx), (ly, hy, ty) = self._shape(), other._shape()
@@ -615,6 +607,18 @@ class MotiveSeries:
         return MotiveSeries._trusted(self.ctx, packed, width, bound, far)
 
     __rmul__ = __mul__
+
+    def _product_far(self, other):
+        """The last exact slot of self * other, or its error: the product's rule."""
+        self._require_same_ctx(other)
+        w = self.ctx.window
+        base, nx, ny = -w.slot(0), self._near(), other._near()
+        if self.packed and other.packed and nx + ny + base < 0:
+            raise ValueError(_PAST_EXACT_END[self.mode]["product"])
+        far = min(w.hi - w.lo, self.far + ny + base, other.far + nx + base)
+        if far < 0:
+            raise ValueError("product has empty validity range (window too narrow)")
+        return far
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -736,20 +740,23 @@ class MotiveSeries:
         return self._view(n, width) == other._view(n, width)
 
     def to_json_obj(self):
-        """Canonical JSON-ready form: sorted exponents, sorted monomials,
-        coefficients as decimal strings (arbitrary precision survives)."""
-        w = self.ctx.window
-        return {
-            "genus": self.g,
-            "mode": self.mode.value,
-            "window": [w.lo, w.hi],
-            "valid": [self.valid_lo, self.valid_hi],
-            "terms": [[e, [[list(m), str(c)] for m, c in p.items()]]
-                      for e, p in self.coeffs.items()],
-        }
+        """The parsed ``to_json``."""
+        return json.loads(self.to_json())
 
     def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        """Canonical compact JSON, keys sorted: sorted exponents, monomials in
+        graded order, coefficients as decimal strings (arbitrary precision
+        survives).  One pass decodes each monomial's digits into its slots' rows."""
+        w, width, rows = self.ctx.window, self.width, [[] for _ in range(self.far + 1)]
+        for mono in sorted(self.packed, key=lambda m: (sum(m), m[::-1])):
+            v, head = self.packed[mono], '[[%s],"' % ",".join(map(str, mono))
+            for s, c in enumerate(_digits(v, width, abs(v).bit_length() // width + 1)):
+                if c:
+                    rows[s].append('%s%d"]' % (head, c))
+        order = range(self.far + 1) if self.mode is Mode.ADIC else range(self.far, -1, -1)
+        body = ",".join("[%d,[%s]]" % (w.exponent(s), ",".join(rows[s])) for s in order if rows[s])
+        return ('{"genus":%d,"mode":"%s","terms":[%s],"valid":[%d,%d],"window":[%d,%d]}'
+                % (self.g, self.mode.value, body, self.valid_lo, self.valid_hi, w.lo, w.hi))
 
     def __str__(self):
         if not self.packed:

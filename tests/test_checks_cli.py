@@ -131,9 +131,9 @@ FORCED_FAILURES = {
                          lambda f: lambda g, k: f(g, k) + k + 1, {"delta": "1"}),
     "j-squared-cancellation": (moduli, "dec_zeta_finite_part", _plus(1),
                                {"exponent": 2, "delta": "1"}),
-    "inversion-consistency": (moduli, "inversion_formula", _plus(1), {
+    "inversion-consistency": (moduli, "inversion_sum", _plus(1), {
         "matched": [],
-        "fixed-determinant": {"exponent": 0, "delta": "1 + l1 + l2"},
+        "fixed-determinant": {"exponent": 0, "delta": "1 + 2*l1 + 2*l2"},
         "jacobian-times-fixed-determinant": {"exponent": 0, "delta": "1"}}),
     "behrend-dhillon": (moduli, "behrend_dhillon_bun",
                         lambda f: lambda ctx, r: f(ctx, r) * 2,

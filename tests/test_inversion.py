@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from curvemotives import moduli
 from curvemotives.curves import _zeta_numerator, jacobian_class
 from curvemotives.moduli import (
     InversionSpec,
@@ -13,10 +14,11 @@ from curvemotives.moduli import (
     inversion_consistency,
     inversion_exponent,
     inversion_formula,
+    inversion_sum,
     m2_chi,
     m3_chi,
 )
-from curvemotives.series import GenusContext, zero
+from curvemotives.series import GenusContext, lefschetz_power, zero
 
 
 def test_frac_part_values():
@@ -141,3 +143,77 @@ def test_inversion_formula_matches_termwise_reference(n, d):
                 ctx = GenusContext.adic(g, hi=hi, lo=lo)
                 assert (_inversion_outcome(inversion_formula, ctx, spec)
                         == _inversion_outcome(_inversion_reference, ctx, spec)), (g, lo, hi)
+
+
+# -- I(n,d): the sum with one [J] taken out of every term ---------------------
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_inversion_sum_is_the_moduli_class(g):
+    # I(2,1) = M(2), I(3,1) = I(3,2) = M(3) on the whole default window
+    ctx = GenusContext.adic(g)
+    for (n, d), m in (((2, 1), m2_chi(ctx)), ((3, 1), m3_chi(ctx)), ((3, 2), m3_chi(ctx))):
+        cmp = inversion_sum(ctx, InversionSpec(n, d)).equals(m)
+        assert cmp.equal and (cmp.lo, cmp.hi) == (0, 10 * g + 10), (n, d)
+
+
+def _jacobian_times_sum(ctx, spec):
+    return jacobian_class(ctx) * inversion_sum(ctx, spec)
+
+
+@pytest.mark.parametrize("n,d", [(4, 1), (4, 3), (5, 2)])
+def test_jacobian_times_sum_matches_termwise_reference(n, d):
+    # the same class and validity range, or the same error, as the sum
+    # built with every [J]^s
+    spec = InversionSpec(n, d)
+    for g in (2, 3):
+        for lo in (0, -2):
+            for hi in (0, 3, 9, 17):
+                ctx = GenusContext.adic(g, hi=hi, lo=lo)
+                assert (_inversion_outcome(_jacobian_times_sum, ctx, spec)
+                        == _inversion_outcome(_inversion_reference, ctx, spec)), (g, lo, hi)
+
+
+@pytest.mark.parametrize("n,d,g", [(4, 1, 2), (4, 1, 3), (4, 3, 2), (4, 3, 3),
+                                   (5, 1, 2), (5, 2, 2)])
+def test_inversion_sum_vanishes_above_the_moduli_dimension(n, d, g):
+    # recorded data: I(n,d) has no term above (n^2-1)(g-1) on the default
+    # window at these ranks, degrees and genera
+    ctx = GenusContext.adic(g)
+    assert inversion_sum(ctx, InversionSpec(n, d)).vanishes_above((n * n - 1) * (g - 1)) is None
+
+
+def _full_reading(ctx, r):
+    """The fixed-determinant reading with the whole product [J] I built."""
+    m = m2_chi(ctx) if r == 2 else m3_chi(ctx)
+    return (jacobian_class(ctx) * inversion_sum(ctx, InversionSpec(r, 1))).equals(m)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_narrowed_reading_matches_the_full_product(g):
+    # the same Comparison (verdict, range, witness exponent and delta) as
+    # the whole product, on every ceiling from the check's minimum to 20
+    # above it, with the window floor at 0 and at -2
+    need = moduli.rank3_min_ceiling(g)
+    for lo in (0, -2):
+        for hi in range(need, need + 21):
+            ctx = GenusContext.adic(g, hi=hi, lo=lo)
+            for r in (2, 3):
+                got = dict(inversion_consistency(ctx, r))["fixed-determinant"]
+                want = _full_reading(ctx, r)
+                assert not want.equal
+                assert got == want, (lo, hi, r)
+
+
+def test_narrowed_reading_widens_to_the_first_difference():
+    # a class that agrees with [J] I up to L^e: the window doubles until it
+    # reaches e, and a class that agrees everywhere takes the whole product.
+    # I L^-1 has support below L^0, so each narrowed product is valid on
+    # fewer slots than its window, and the reading falls back to the whole
+    # product
+    for lo, shift in ((0, 0), (-2, 0), (-2, -1)):
+        ctx = GenusContext.adic(3, hi=40, lo=lo)
+        jac, i = jacobian_class(ctx), inversion_sum(ctx, InversionSpec(3, 1)).shift(shift)
+        full = jac * i
+        for m in [full] + [full + lefschetz_power(ctx, e) for e in (0, 1, 2, 7, 16, 33, 39)]:
+            assert moduli._product_equals(jac, i, m) == full.equals(m)

@@ -1,5 +1,6 @@
 """Window, validity, and ring behavior of the truncated series layer."""
 
+import json
 import operator
 
 import pytest
@@ -346,6 +347,42 @@ def test_validate_and_json_roundtrip_shape():
     assert obj["terms"] == [[2, [[[0, 0], "1"], [[1, 0], "1"]]]]
 
 
+def _to_json_reference(x):
+    """MotiveSeries.to_json as it was first written: a CoeffPoly per
+    exponent, its terms sorted, then json.dumps of the nested lists."""
+    w = x.ctx.window
+    return json.dumps({
+        "genus": x.g,
+        "mode": x.mode.value,
+        "window": [w.lo, w.hi],
+        "valid": [x.valid_lo, x.valid_hi],
+        "terms": [[e, [[list(m), str(c)] for m, c in p.items()]] for e, p in x.coeffs.items()],
+    }, sort_keys=True, separators=(",", ":"))
+
+
+def _assert_json_matches_reference(x):
+    text = x.to_json()
+    assert text == _to_json_reference(x)
+    assert x.to_json_obj() == json.loads(text)
+
+
+def test_to_json_matches_the_reference_on_classes():
+    # zero, scaled and shifted classes in both modes, floors down to -60,
+    # and the three genus-6 rank-3 and inversion classes
+    for g in (2, 3):
+        for ctx in (GenusContext.adic(g, hi=30), GenusContext.adic(g, hi=30, lo=-2),
+                    GenusContext.adic(g, hi=5, lo=-60), GenusContext.dimensional(g)):
+            _assert_json_matches_reference(zero(ctx))
+            for k in range(2 * g + 1):
+                c = curves.sym_power_class(ctx, k)
+                _assert_json_matches_reference(c)
+                _assert_json_matches_reference((c * -(7 ** 20) + 3).shift(1))
+    actx, dctx = GenusContext.adic(6), GenusContext.dimensional(6)
+    for c in (moduli.m3_chi(actx), moduli.m3_var(dctx),
+              moduli.inversion_formula(actx, moduli.InversionSpec(3, 1))):
+        _assert_json_matches_reference(c)
+
+
 def test_str_is_readable():
     ctx = GenusContext.adic(2)
     s = one(ctx) + lambda_class(ctx, 1).shift(1)
@@ -655,6 +692,17 @@ def test_coefficient_reads_the_decoded_view(case):
             got = s.coefficient(e)
             assert got == coeffs.get(e, 0)
             assert 0 not in got.terms.values()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_to_json_matches_the_reference(case):
+    # partial validity ranges, floors off 0 and slots of 24 to 96 bits and
+    # wider: the one-pass writer gives the reference's bytes
+    x, y, _, e, _ = case
+    for s in (x, y, x * e, _outcome(lambda: x.shift(e))[0], _outcome(lambda: x * y)[0]):
+        if s is not None:
+            _assert_json_matches_reference(s)
 
 
 # -- the two modes are mirror images under L -> L^-1 ------------------------
