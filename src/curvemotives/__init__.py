@@ -12,10 +12,8 @@ from .series import (
     Mode,
     MotiveSeries,
     TruncationWindow,
-    UnitSign,
     constant,
     equals,
-    geom_unit_inverse,
     lambda_class,
     lefschetz_power,
     one,

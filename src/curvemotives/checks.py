@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import curves, moduli
 from .realize import (HODGE, POINCARE, count_cross_check, count_target,
@@ -446,6 +445,8 @@ def run_suite(genus_list, check_ids=None, window=None, workers=1):
     workers = resolve_workers(workers)
     by_genus = sorted(tasks, key=lambda task: task[::-1])
     if workers > 1 and len(tasks) > 1:
+        # imported only here: the pool module is a third of the CLI's import time
+        from concurrent.futures import ProcessPoolExecutor
         # a worker's cache ends with the pool
         with ProcessPoolExecutor(max_workers=workers, initializer=curves.open_cache) as pool:
             futures = {task: pool.submit(run_check, *task, window) for task in by_genus}

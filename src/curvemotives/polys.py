@@ -157,10 +157,6 @@ def _trusted_terms(cls, terms):
     return self
 
 
-def _const(cls, n):
-    return cls({cls._unit: n})
-
-
 def _add_pairs(p, q):
     return (p[0] + q[0], p[1] + q[1])
 
@@ -174,7 +170,6 @@ class IntPoly:
     _combine = staticmethod(operator.add)
     __init__ = _init_terms
     _trusted = _wrap = classmethod(_trusted_terms)
-    const = classmethod(_const)
     __bool__ = ring_bool
     __eq__ = ring_eq
     __neg__ = ring_neg
@@ -238,7 +233,6 @@ class IntPoly2:
     _combine = staticmethod(_add_pairs)
     __init__ = _init_terms
     _trusted = _wrap = classmethod(_trusted_terms)
-    const = classmethod(_const)
     __bool__ = ring_bool
     __eq__ = ring_eq
     __neg__ = ring_neg

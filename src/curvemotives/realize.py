@@ -133,53 +133,34 @@ def count_target(data: CountingData) -> RealizationTarget:
     return RealizationTarget("count", data)
 
 
-def _realize_hodge(g, rows):
-    """The Hodge realization of the rows of ``_lpolys`` by total degree:
-    lambda^a and L = uv are homogeneous of degrees a and 2, so degree D is
-    one int with the coefficient of u^i v^(D-i) in slot i of W bits.  The
-    images are non-negative, so W holds every partial sum if it holds the
-    class with absolute coefficients at u = v = 1 (lambda^a -> C(2g, a))."""
-    bound = sum(prod(comb(2 * g, i + 1) ** ei for i, ei in enumerate(mono))
-                * sum(abs(c) for _, c in terms) for mono, terms in rows)
-    width = _width(bound)
-    lam = [sum(comb(g, i) * comb(g, a - i) << i * width for i in range(a + 1))
-           for a in range(g + 1)]
-    total = {}
-    for mono, terms in rows:
-        image, d = 1, 0
-        for i, ei in enumerate(mono):
-            if ei:
-                image, d = image * lam[i + 1] ** ei, d + (i + 1) * ei
-        for e, c in terms:
-            total[d + 2 * e] = total.get(d + 2 * e, 0) + (c * image << e * width)
-    return IntPoly2._trusted({(i, n - i): c for n, v in total.items()
-                              for i, c in enumerate(_digits(v, width, n + 1)) if c})
-
-
 def realize(series, target):
-    """Apply the target homomorphism to a polynomial class, by total degree:
-    lambda^a and L are homogeneous of degrees a and 2, so a lambda-monomial
-    of degree d maps to an integer, and its coefficient c at L^e adds c
-    times that integer times the image of L^e in degree d + 2e.  POINCARE
-    keeps the degrees, a count sums them and HODGE packs each degree in one
-    int (``_realize_hodge``).  The zero class realizes to the int 0.
-    The stored coefficients are taken at face value, so only feed this
-    classes that are genuinely polynomial (moduli classes, symmetric
-    powers, the Jacobian); a dimensional one valid only from L^e, e > 0, is
-    refused with ValueError, as its coefficients below L^e are unknown."""
+    """Apply the target homomorphism to a polynomial class.  A target maps
+    lambda_a to ``lam[a]``, of degree a, and L to ``ell``, of degree 2, so
+    c m L^e, for m a lambda-monomial of degree d, adds c ell^e times the
+    image of m, shifted up e slots of ``width`` bits, in degree d + 2e.
+    POINCARE (C(2g, a) t^a and t^2 as C(2g, a) and 1) keeps the degrees and
+    a count (its images and q) sums them, both with width 0.  HODGE puts the
+    coefficient of u^i v^(a-i) in slot i of W bits, so L = uv is a shift by
+    one slot, and unpacks each degree; its images are non-negative, so W
+    holds every partial sum if it holds the class with absolute coefficients
+    at u = v = 1 (lambda^a -> C(2g, a)).  The zero class realizes to the int 0.  The
+    stored coefficients are taken at face value, so only feed this classes
+    that are genuinely polynomial (moduli classes, symmetric powers, the
+    Jacobian); a dimensional one valid only from L^e, e > 0, is refused
+    with ValueError, as its coefficients below L^e are unknown."""
     if series.mode is Mode.DIMENSIONAL and series.valid_lo > 0:
         raise ValueError("realization needs the class from L^0 up; this dimensional "
                          "class is valid only from L^%d" % series.valid_lo)
-    g, data = series.g, target.counting
-    if target.kind == "poincare":  # C(2g, a) and 1 stand for C(2g, a) t^a and t^2
-        lam, ell = [comb(2 * g, a) for a in range(g + 1)], 1
-    elif target.kind == "count":
+    g, data, width = series.g, target.counting, 0
+    if target.kind == "count":
         if data is None:
             raise ValueError("counting realization needs point-count data")
         if data.g != g:
             raise ValueError("point-count data is for genus %d, class has genus %d" % (data.g, g))
         lam, ell = [data.lambda_count(a) for a in range(g + 1)], data.q
-    elif target.kind != "hodge":
+    elif target.kind in ("poincare", "hodge"):
+        lam, ell = [comb(2 * g, a) for a in range(g + 1)], 1
+    else:
         raise ValueError("unknown realization target %r" % (target.kind,))
     rows = series._lpolys()
     if not rows:
@@ -188,7 +169,10 @@ def realize(series, target):
     if low < 0:
         raise ValueError("realization needs nonnegative exponents, got L^%d" % low)
     if target.kind == "hodge":
-        return _realize_hodge(g, rows)
+        width = _width(sum(prod(lam[i + 1] ** ei for i, ei in enumerate(mono))
+                           * sum(abs(c) for _, c in terms) for mono, terms in rows))
+        lam = [sum(comb(g, i) * comb(g, a - i) << i * width for i in range(a + 1))
+               for a in range(g + 1)]
     total = {}
     for mono, terms in rows:
         image, d = 1, 0
@@ -196,9 +180,12 @@ def realize(series, target):
             if ei:
                 image, d = image * lam[i + 1] ** ei, d + (i + 1) * ei
         for e, c in terms:
-            total[d + 2 * e] = total.get(d + 2 * e, 0) + c * image * ell ** e
+            total[d + 2 * e] = total.get(d + 2 * e, 0) + (c * ell ** e * image << e * width)
     if target.kind == "count":
         return sum(total.values())
+    if target.kind == "hodge":
+        return IntPoly2._trusted({(i, n - i): c for n, v in total.items()
+                                  for i, c in enumerate(_digits(v, width, n + 1)) if c})
     return IntPoly._trusted({n: c for n, c in total.items() if c})
 
 

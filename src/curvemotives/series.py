@@ -75,7 +75,6 @@ from .polys import (add_into, format_terms, mul_into, ring_add, ring_bool, ring_
 
 __all__ = [
     "Mode",
-    "UnitSign",
     "TruncationWindow",
     "GenusContext",
     "CoeffPoly",
@@ -86,7 +85,6 @@ __all__ = [
     "constant",
     "lefschetz_power",
     "lambda_class",
-    "geom_unit_inverse",
     "equals",
 ]
 
@@ -96,13 +94,6 @@ class Mode(enum.Enum):
 
     ADIC = "adic"
     DIMENSIONAL = "dimensional"
-
-
-class UnitSign(enum.Enum):
-    """The two unit shapes with a geometric-series inverse, one per mode."""
-
-    ONE_MINUS_L_I = "1-L^i"
-    L_I_MINUS_ONE = "L^i-1"
 
 
 @dataclass(frozen=True)
@@ -647,14 +638,15 @@ class MotiveSeries:
         return MotiveSeries._trusted(self.ctx, packed, self.width, self.bound, far)
 
     def div_unit(self, i):
-        """Divide by 1 - L^i (adic) or L^i - 1 (dimensional).
-
-        The result, its validity range and any error are exactly those of
-        ``self * geom_unit_inverse(ctx, i, sign)``.  With B = 2^(W i) the
-        inverse is 1 + B + B^2 + .. (adic) or B + B^2 + .. (dimensional) in
-        slot terms, so each monomial's int v becomes (v B^m - v) / (B - 1),
-        an exact division, times B in dimensional mode, cut to the validity
-        range; m is the number of terms the output slots need."""
+        """Divide by 1 - L^i (adic) or L^i - 1 (dimensional): the result,
+        its validity range and any error are those of the product with
+        1 + L^i + L^2i + .. (adic) or L^-i + L^-2i + .. (dimensional),
+        summed across the window, which ``one(ctx).div_unit(i)`` is on a
+        window that holds L^0.  With B = 2^(W i) that series is
+        1 + B + B^2 + .. in slot terms from the slot of L^0 or L^-i, so each
+        monomial's int v becomes (v B^m - v) / (B - 1), an exact division,
+        shifted to that slot and cut to the validity range; m is the number
+        of terms the output slots need."""
         if i < 1:
             raise ValueError("unit exponent must be positive, got i=%d" % i)
         w = self.ctx.window
@@ -824,27 +816,6 @@ def lambda_class(ctx, a: int) -> MotiveSeries:
         raise ValueError("exterior power index %d outside [0, %d]" % (a, 2 * g))
     mono, off = _basis_row(g, a)
     return _run_class(ctx, [(mono, off, 1, 1)])
-
-
-def geom_unit_inverse(ctx, i: int, sign: UnitSign) -> MotiveSeries:
-    """Geometric-series inverse of 1 - L^i (adic) or L^i - 1 (dimensional).
-
-    Each mode admits exactly one of the two unit shapes: the expansion must
-    run in the direction the window truncates.  i must be positive.
-    """
-    if i < 1:
-        raise ValueError("unit exponent must be positive, got i=%d" % i)
-    w = ctx.window
-    g = ctx.g
-    if ctx.mode is Mode.ADIC:
-        if sign is not UnitSign.ONE_MINUS_L_I:
-            raise ValueError("adic mode inverts only units of the form 1 - L^i")
-        coeffs = {e: CoeffPoly.one(g) for e in range(0, w.hi + 1, i)}
-    else:
-        if sign is not UnitSign.L_I_MINUS_ONE:
-            raise ValueError("dimensional mode inverts only units of the form L^i - 1")
-        coeffs = {e: CoeffPoly.one(g) for e in range(-i, w.lo - 1, -i)}
-    return MotiveSeries(ctx, coeffs)
 
 
 def _run_class(ctx, runs):

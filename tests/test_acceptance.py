@@ -28,9 +28,7 @@ from curvemotives.realize import (
 )
 from curvemotives.series import (
     GenusContext,
-    UnitSign,
     constant,
-    geom_unit_inverse,
     lambda_class,
     lefschetz_power,
     one,
@@ -210,12 +208,10 @@ def _prop_unit_inverse(i, dim):
     if dim:
         ctx = GenusContext.dimensional(2)
         unit = lefschetz_power(ctx, i) - one(ctx)
-        inv = geom_unit_inverse(ctx, i, UnitSign.L_I_MINUS_ONE)
     else:
         ctx = GenusContext.adic(2)
         unit = one(ctx) - lefschetz_power(ctx, i)
-        inv = geom_unit_inverse(ctx, i, UnitSign.ONE_MINUS_L_I)
-    assert (unit * inv).equals(one(ctx)).equal
+    assert (unit * one(ctx).div_unit(i)).equals(one(ctx)).equal
 
 
 @_PROP

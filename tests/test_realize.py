@@ -401,3 +401,14 @@ def test_realize_refuses_a_truncated_dimensional_class(lo):
     full = m2_var(GenusContext.dimensional(2, lo=-3))
     assert full.valid_lo <= 0
     assert realize(full, POINCARE) == realize(m2_chi(GenusContext.adic(2)), POINCARE)
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="realize has no degree bound for an adic class: it "
+                          "takes one cut at the window ceiling at face value")
+def test_realize_refuses_an_adic_class_cut_below_its_degree():
+    # [J] at g = 3 reaches L^3, past the ceiling 2 of the window; today the
+    # realization drops the x^6 term, 1 + 6x + 15x^2 + 20x^3 + 15x^4 + 6x^5
+    cls = jacobian_class(GenusContext.adic(3, hi=2))
+    with pytest.raises(ValueError):
+        realize(cls, POINCARE)

@@ -16,15 +16,26 @@ from curvemotives.series import (
     Mode,
     MotiveSeries,
     TruncationWindow,
-    UnitSign,
     _run_class,
     equals,
-    geom_unit_inverse,
     lambda_class,
     lefschetz_power,
     one,
     zero,
 )
+
+
+def _geom_unit_inverse(ctx, i):
+    """The geometric-series inverse of 1 - L^i (adic) or L^i - 1
+    (dimensional), written out term by term: the oracle of ``div_unit``."""
+    if i < 1:
+        raise ValueError("unit exponent must be positive, got i=%d" % i)
+    w = ctx.window
+    if ctx.mode is Mode.ADIC:
+        coeffs = {e: CoeffPoly.one(ctx.g) for e in range(0, w.hi + 1, i)}
+    else:
+        coeffs = {e: CoeffPoly.one(ctx.g) for e in range(-i, w.lo - 1, -i)}
+    return MotiveSeries(ctx, coeffs)
 
 
 def test_default_windows():
@@ -135,7 +146,7 @@ def test_subtraction_builds_no_negated_copy(monkeypatch):
 
 def test_mul_narrows_validity_from_partial_factor():
     ctx = GenusContext.adic(2)
-    inv = geom_unit_inverse(ctx, 1, UnitSign.ONE_MINUS_L_I)
+    inv = _geom_unit_inverse(ctx, 1)
     # a series only known up to L^5, built with explicit validity
     short = MotiveSeries(ctx, {e: CoeffPoly.one(2) for e in range(0, 6)},
                          valid_lo=0, valid_hi=5)
@@ -159,7 +170,7 @@ def test_shift_and_floor_guard():
 
 def test_equals_reports_window_and_witness():
     ctx = GenusContext.adic(2)
-    inv = geom_unit_inverse(ctx, 1, UnitSign.ONE_MINUS_L_I)
+    inv = _geom_unit_inverse(ctx, 1)
     other = inv + lefschetz_power(ctx, 7)
     cmp = inv.equals(other)
     assert not cmp
@@ -180,7 +191,7 @@ def test_equals_reports_window_and_witness():
 
 def test_equals_empty_overlap_is_an_error():
     ctx = GenusContext.adic(2)
-    inv = geom_unit_inverse(ctx, 1, UnitSign.ONE_MINUS_L_I)
+    inv = _geom_unit_inverse(ctx, 1)
     with pytest.raises(ValueError):
         equals(inv.restricted(0, 3), inv.restricted(5, 9))
 
@@ -195,21 +206,14 @@ def test_mode_mixing_rejected():
 def test_geom_unit_inverse_is_inverse():
     actx = GenusContext.adic(2)
     for i in (1, 2, 3):
-        inv = geom_unit_inverse(actx, i, UnitSign.ONE_MINUS_L_I)
+        inv = _geom_unit_inverse(actx, i)
         unit = one(actx) - lefschetz_power(actx, i)
         assert bool((unit * inv).equals(one(actx)))
     dctx = GenusContext.dimensional(2)
     for i in (1, 2, 3):
-        inv = geom_unit_inverse(dctx, i, UnitSign.L_I_MINUS_ONE)
+        inv = _geom_unit_inverse(dctx, i)
         unit = lefschetz_power(dctx, i) - one(dctx)
         assert bool((unit * inv).equals(one(dctx)))
-
-
-def test_geom_unit_inverse_wrong_sign_for_mode():
-    with pytest.raises(ValueError):
-        geom_unit_inverse(GenusContext.adic(2), 1, UnitSign.L_I_MINUS_ONE)
-    with pytest.raises(ValueError):
-        geom_unit_inverse(GenusContext.dimensional(2), 1, UnitSign.ONE_MINUS_L_I)
 
 
 def _outcome(fn):
@@ -227,8 +231,7 @@ def _free_end(mode, valid_lo, valid_hi):
 
 
 def _div_unit_outcomes(x, i):
-    sign = UnitSign.ONE_MINUS_L_I if x.mode is Mode.ADIC else UnitSign.L_I_MINUS_ONE
-    want = _outcome(lambda: x * geom_unit_inverse(x.ctx, i, sign))
+    want = _outcome(lambda: x * _geom_unit_inverse(x.ctx, i))
     got = _outcome(lambda: x.div_unit(i))
     return got, want
 
@@ -280,6 +283,20 @@ def test_div_unit_edge_windows(mode, lo, hi, raises):
         got, want = _div_unit_outcomes(x, i)
         assert got == want
         assert (got[0] is None) == (raises or i == 0)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("mode", [Mode.ADIC, Mode.DIMENSIONAL])
+def test_div_unit_of_one_is_the_geometric_series(g, mode):
+    # the explicit inverse the docs name: one(ctx).div_unit(i) on every
+    # window that holds L^0, the short ones included, gives the JSON or the
+    # error text of the series written out term by term
+    for lo in range(-12, 1):
+        for hi in range(0, 14):
+            ctx = GenusContext(g, TruncationWindow(lo, hi, mode))
+            for i in range(0, 6):
+                got = _outcome(lambda: one(ctx).div_unit(i).to_json())
+                assert got == _outcome(lambda: _geom_unit_inverse(ctx, i).to_json())
 
 
 def test_coefficient_respects_validity():
@@ -657,7 +674,6 @@ def test_packed_kernel_matches_decoded_arithmetic(case):
     # each packed operation against its oracle on the decoded coefficients:
     # the same coefficients and validity range, or the same ValueError
     x, y, i, e, cut = case
-    sign = UnitSign.ONE_MINUS_L_I if x.mode is Mode.ADIC else UnitSign.L_I_MINUS_ONE
     w = x.ctx.window
     lo, hi = (w.lo, cut) if x.mode is Mode.ADIC else (cut, w.hi)
     for a, b in ((x, y), (y, x)):
@@ -669,7 +685,7 @@ def test_packed_kernel_matches_decoded_arithmetic(case):
         _same(_outcome(lambda: a.restricted(lo, hi)),
               _outcome(lambda: _restricted_reference(a, lo, hi)))
         _same(_outcome(lambda: a.div_unit(i)),
-              _outcome(lambda: _mul_reference(a, geom_unit_inverse(a.ctx, i, sign))))
+              _outcome(lambda: _mul_reference(a, _geom_unit_inverse(a.ctx, i))))
         assert _outcome(lambda: a.equals(b)) == _outcome(lambda: _equals_reference(a, b))
         narrow = _outcome(lambda: a.restricted(lo, hi))[0]
         if narrow is not None:
@@ -767,8 +783,7 @@ def test_coefficients_past_a_slot():
         # slots than its operands
         top = 2 ** 95 - 1
         y = MotiveSeries(ctx, {0: top, 1: top, 2: top, 3: -top})
-        sign = UnitSign.ONE_MINUS_L_I if ctx.mode is Mode.ADIC else UnitSign.L_I_MINUS_ONE
-        assert y.div_unit(1) == _mul_reference(y, geom_unit_inverse(ctx, 1, sign))
+        assert y.div_unit(1) == _mul_reference(y, _geom_unit_inverse(ctx, 1))
         assert y + y == _plus_reference(y, y, 1) and y - (-y) == y + y
         assert y * y == _mul_reference(y, y) and y * 3 == _scaled_reference(y, 3)
 
