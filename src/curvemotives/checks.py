@@ -56,7 +56,8 @@ class CheckReport:
     wall_time: float
 
     def to_json_obj(self):
-        return dataclasses.asdict(self)
+        """The fields as a shallow dict: it shares the report's lists and dicts."""
+        return dict(vars(self))
 
 
 def _adic(g, window):
@@ -437,26 +438,35 @@ def resolve_workers(workers=None):
     return workers
 
 
-def run_suite(genus_list, check_ids=None, window=None, workers=1):
-    """Run exactly the tasks that ``plan`` makes of the request, genus by genus
-    with the class cache open (``curves.open_cache``), and return their
-    reports in plan order.  ``workers`` is resolved by ``resolve_workers``."""
-    tasks = plan(genus_list, check_ids, window)
-    workers = resolve_workers(workers)
-    by_genus = sorted(tasks, key=lambda task: task[::-1])
-    if workers > 1 and len(tasks) > 1:
-        # imported only here: the pool module is a third of the CLI's import time
-        from concurrent.futures import ProcessPoolExecutor
-        # a worker's cache ends with the pool
-        with ProcessPoolExecutor(max_workers=workers, initializer=curves.open_cache) as pool:
-            futures = {task: pool.submit(run_check, *task, window) for task in by_genus}
-            return [futures[task].result() for task in tasks]
+def _jobs(tasks, workers):
+    """Each genus's tasks, in plan order, dealt round-robin into <= ceil(workers/genera) jobs."""
+    by_genus = [[t for t in tasks if t[1] == g] for g in sorted({g for _, g in tasks})]
+    n = -(-workers // max(len(by_genus), 1))
+    return [mine[i::n] for mine in by_genus for i in range(min(n, len(mine)))]
+
+
+def _run_job(tasks, window):
+    """The reports of one job's tasks, run in order with the class cache open."""
     curves.open_cache()
     try:
-        reports = {task: run_check(*task, window) for task in by_genus}
+        return [run_check(*task, window) for task in tasks]
     finally:
         curves.close_cache()
-    return [reports[task] for task in tasks]
+
+
+def run_suite(genus_list, check_ids=None, window=None, workers=1):
+    """The reports of the tasks that ``plan`` makes of the request, in plan order, run as
+    ``_jobs``: genus-ascending, or largest genus first by a pool of min(workers, jobs) > 1."""
+    tasks, workers = plan(genus_list, check_ids, window), resolve_workers(workers)
+    jobs = _jobs(tasks, workers)
+    if min(workers, len(jobs)) > 1:
+        # imported only here: the pool module is a third of the CLI's import time
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            done = list(pool.map(_run_job, jobs[::-1], [window] * len(jobs)))
+    else:
+        done = [_run_job(job, window) for job in jobs]
+    return sorted((r for job in done for r in job), key=lambda r: (r.check, r.genus))
 
 
 def count_verdicts(reports):

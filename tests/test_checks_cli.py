@@ -240,6 +240,64 @@ def test_parallel_matches_serial():
     strip = lambda rs: [{k: v for k, v in r.to_json_obj().items()
                          if k != "wall_time"} for r in rs]
     assert strip(serial) == strip(parallel)
+    # one job per genus, and slices of a genus when workers outnumber genera
+    for genera, counts in (([2, 3, 4], (2, 4)), ([3], (2,))):
+        want = strip(run_suite(genera, workers=1))
+        for workers in counts:
+            assert strip(run_suite(genera, workers=workers)) == want
+
+
+@pytest.mark.parametrize("genera, workers", [([2, 3, 4], w) for w in (1, 2, 3, 4, 7)]
+                         + [([5], 2), ([5], 3)])
+def test_jobs_deal_each_genus_into_slices(genera, workers):
+    tasks = plan(genera)
+    jobs = checks._jobs(tasks, workers)
+    assert sorted(t for job in jobs for t in job) == tasks  # each task in one job
+    slices = -(-workers // len(genera))
+    for g in genera:
+        mine = [t for t in tasks if t[1] == g]
+        theirs = [job for job in jobs if job[0][1] == g]
+        assert all({h for _, h in job} == {g} for job in theirs)
+        assert all(job == sorted(job, key=tasks.index) for job in theirs)  # plan order
+        assert theirs == [mine[i::slices] for i in range(min(slices, len(mine)))]
+        assert len(theirs) == min(slices, len(mine)) and all(theirs)
+    assert [job[0][1] for job in jobs] == sorted(job[0][1] for job in jobs)
+    if workers == 1:
+        assert [job[0][1] for job in jobs] == genera
+
+
+@pytest.mark.parametrize("genera, ids, size", [
+    ([2], ["rank2", "symmpro"], 2),
+    ([2, 3, 4], ["rank2", "symmpro"], 6),
+    ([2], ["rank2"], None),
+])
+def test_run_suite_starts_no_more_workers_than_jobs(monkeypatch, genera, ids, size):
+    import concurrent.futures
+    sizes, submitted = [], []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor and starts no process: it records
+        its size and the genera of its jobs, and runs each job here."""
+
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, *rest):
+            jobs = list(jobs)
+            submitted.extend(job[0][1] for job in jobs)
+            return map(fn, jobs, *rest)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    got = run_suite(genera, ids, workers=64)
+    assert sizes == ([] if size is None else [size])
+    assert submitted == sorted(submitted, reverse=True)  # largest genus first
+    assert _masked(got) == _masked(run_suite(genera, ids))
 
 
 def _masked(reports):
@@ -365,6 +423,14 @@ def test_reports_to_json_shape():
     assert obj["config"]["genus"] == [2]
     assert obj["reports"][0]["check"] == "rank2"
     assert obj["reports"][0]["statement"]
+
+
+def test_report_dicts_are_the_dataclass_fields():
+    # a shallow dict of the fields: the same JSON as the recursive copy
+    import dataclasses
+    for r in run_suite([2], check_ids=["rank2", "count-cross-check"]):
+        assert json.dumps(r.to_json_obj()) == json.dumps(dataclasses.asdict(r))
+        assert r.to_json_obj()["details"] is r.details
 
 
 def test_json_determinism():
