@@ -63,9 +63,7 @@ from .realize import (
     HODGE,
     POINCARE,
     CountingData,
-    RealizationTarget,
     count_cross_check,
-    count_target,
     genus2_fixture_counts,
     newstead_oracle,
     realize,

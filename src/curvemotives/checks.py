@@ -29,8 +29,8 @@ import os
 import time
 
 from . import curves, moduli
-from .realize import (HODGE, POINCARE, count_cross_check, count_target,
-                      genus2_fixture_counts, newstead_oracle, realize)
+from .realize import (HODGE, POINCARE, count_cross_check, genus2_fixture_counts,
+                      newstead_oracle, realize)
 from .series import GenusContext
 
 __all__ = [
@@ -58,19 +58,6 @@ class CheckReport:
     def to_json_obj(self):
         """The fields as a shallow dict: it shares the report's lists and dicts."""
         return dict(vars(self))
-
-
-def _adic(g, window):
-    if window is None:
-        return GenusContext.adic(g)
-    return GenusContext.adic(g, hi=window[1], lo=window[0])
-
-
-def _dim(g, window):
-    """Dimensional context; a window override mirrors its depth downward."""
-    if window is None:
-        return GenusContext.dimensional(g)
-    return GenusContext.dimensional(g, lo=-window[1])
 
 
 def _witness_obj(cmp):
@@ -135,7 +122,7 @@ def _motiviczeta_closed_form(adic, dim):
 def _rank2(adic, dim):
     m2 = moduli.m2_chi(adic)  # raises if support leaks above 3g-3
     yield "decomposition", m2.equals(moduli.rank2_decomposition(adic))
-    yield {"step": "support-in-[0,%d]" % (moduli.rank2_min_ceiling(adic.g) - 1), "ok": True}
+    yield {"step": "support-in-[0,%d]" % (moduli.min_ceiling(2, adic.g) - 1), "ok": True}
 
 
 def _rank3(adic, dim):
@@ -146,7 +133,7 @@ def _rank3(adic, dim):
         raise ArithmeticError("raw and reduced unstable rank-3 corrections disagree "
                               "at L^%d" % agree.witness_exponent)
     yield "decomposition", m3.equals(moduli.rank3_decomposition(adic))
-    yield {"step": "support-in-[0,%d]" % (moduli.rank3_min_ceiling(adic.g) - 1), "ok": True}
+    yield {"step": "support-in-[0,%d]" % (moduli.min_ceiling(3, adic.g) - 1), "ok": True}
 
 
 def _x_identity(adic, dim):
@@ -250,7 +237,7 @@ def _count_cross_check(adic, dim):
                      lambda: {"k": k, "realized": got, "expected": want},
                      realized=got, expected=want)
     yield {"step": "jacobian-count", "ok": True,
-           "realized": realize(curves.jacobian_class(adic), count_target(data))}
+           "realized": realize(curves.jacobian_class(adic), data)}
 
 
 # -- registry --------------------------------------------------------------
@@ -305,11 +292,11 @@ CHECKS = {
         "The rank-2 fixed-determinant moduli class (bundle stack minus "
         "unstable stratum) is supported in [0, 3g-3] and equals "
         "sum_{k<=g-2} [C_k](L^k + L^{3g-3-2k}) + [C_{g-1}] L^{g-1}.",
-        "adic", _rank2, min_ceiling=moduli.rank2_min_ceiling),
+        "adic", _rank2, min_ceiling=lambda g: moduli.min_ceiling(2, g)),
     "rank3": CheckSpec(
         "The rank-3 fixed-determinant moduli class is supported in [0, 8g-8] "
         "and equals the two-index symmetric-power template.",
-        "adic", _rank3, min_ceiling=moduli.rank3_min_ceiling),
+        "adic", _rank3, min_ceiling=lambda g: moduli.min_ceiling(3, g)),
     "rank3-x-identity": CheckSpec(
         "The four-term exponent identity behind the collapse of the "
         "[J]-linear part holds in Z[x] for every 0 <= k <= g-2.",
@@ -323,24 +310,24 @@ CHECKS = {
         "The composition-indexed inversion sum for (rank, degree) = (2,1) "
         "and (3,1) has integral exponents and equals exactly one of the "
         "fixed-determinant moduli class or the Jacobian times it.",
-        "adic", _inversion, min_ceiling=moduli.rank3_min_ceiling),
+        "adic", _inversion, min_ceiling=lambda g: moduli.min_ceiling(3, g)),
     "behrend-dhillon": CheckSpec(
         "The dimensional bundle-stack class L^{(r^2-1)(g-1)} "
         "prod_{i=2..r} Z(C, L^{-i}) has top coefficient 1 at its dimension, "
         "and the moduli classes built from it agree with the adic ones "
         "coefficient by coefficient.",
-        "dimensional", _behrend_dhillon, min_ceiling=moduli.rank3_min_ceiling),
+        "dimensional", _behrend_dhillon, min_ceiling=lambda g: moduli.min_ceiling(3, g)),
     "var-rank2": CheckSpec(
         "Dimensional rank-2 pipeline: stack minus stratumwise unstable sum "
         "equals the decomposition template and matches the adic class; the "
         "variant stack reading with an extra L^3 prefactor does not close "
         "and is flagged.",
-        "dimensional", _var_rank2, min_ceiling=moduli.rank2_min_ceiling),
+        "dimensional", _var_rank2, min_ceiling=lambda g: moduli.min_ceiling(2, g)),
     "var-rank3": CheckSpec(
         "Dimensional rank-3 pipeline: stack minus Harder-Narasimhan "
         "corrections equals the decomposition template and matches the adic "
         "class.",
-        "dimensional", _var_rank3, min_ceiling=moduli.rank3_min_ceiling),
+        "dimensional", _var_rank3, min_ceiling=lambda g: moduli.min_ceiling(3, g)),
     "unstable-rank2-hn-sum": CheckSpec(
         "The stratumwise unstable rank-2 sum (degree-d stratum "
         "[J] L^{g-2d}/(L-1)) equals its closed form [J] L^g/((L-1)(L^2-1)); "
@@ -355,7 +342,7 @@ CHECKS = {
         "The Hodge realization at u = v = t reproduces the Poincare "
         "realization on the rank-2 and rank-3 moduli classes, the Jacobian, "
         "and the symmetric powers up to 2g.",
-        "adic", _realize_hodge, min_ceiling=moduli.rank3_min_ceiling),
+        "adic", _realize_hodge, min_ceiling=lambda g: moduli.min_ceiling(3, g)),
     "count-cross-check": CheckSpec(
         "For the genus-2 curve y^2 = x^5 - x over F_3 (points counted by "
         "brute force at run time), the counting realization of each "
@@ -409,7 +396,12 @@ def run_check(check_id, g, window=None) -> CheckReport:
     spec = CHECKS[check_id]
     start = time.perf_counter()
     try:
-        entries = list(spec.steps(_adic(g, window), _dim(g, window)))
+        if window is None:
+            adic, dim = GenusContext.adic(g), GenusContext.dimensional(g)
+        else:  # the dimensional window mirrors the adic depth downward
+            adic = GenusContext.adic(g, hi=window[1], lo=window[0])
+            dim = GenusContext.dimensional(g, lo=-window[1])
+        entries = list(spec.steps(adic, dim))
     except (ValueError, ArithmeticError) as exc:
         entries = [{"step": "error", "ok": False, "message": str(exc),
                     "witness": {"error": str(exc)}}]

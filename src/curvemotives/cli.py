@@ -13,8 +13,11 @@ from .checks import (WORKERS_ENV_VAR, available_checks, check_statement, count_v
 from .curves import jacobian_class, sym_power_class
 from .moduli import m2_chi, m3_chi
 from .polys import IntPoly, IntPoly2
-from .realize import CountingData, HODGE, POINCARE, count_target, realize
+from .realize import CountingData, realize
 from .series import GenusContext
+
+# the --class names besides ck:<k>, each the builder of its class from an adic context
+_CLASSES = {"m2": m2_chi, "m3": m3_chi, "jac": jacobian_class}
 
 
 def build_parser():
@@ -47,7 +50,7 @@ def build_parser():
     rz.add_argument("--target", required=True,
                     choices=["poincare", "hodge", "count"])
     rz.add_argument("--class", dest="cls", required=True, metavar="CLASS",
-                    help="m2 | m3 | jac | ck:<k>")
+                    help=" | ".join([*_CLASSES, "ck:<k>"]))
     rz.add_argument("--genus", type=int, default=2)
     rz.add_argument("--counts", metavar="PATH",
                     help='point-count JSON {"q": .., "counts": [N1, .., Ng]} '
@@ -129,12 +132,8 @@ def _cmd_realize(parser, args):
         parser.error("--counts is read only with --target count")
     ctx = GenusContext.adic(args.genus)
     name = args.cls
-    if name == "m2":
-        cls = m2_chi(ctx)
-    elif name == "m3":
-        cls = m3_chi(ctx)
-    elif name == "jac":
-        cls = jacobian_class(ctx)
+    if name in _CLASSES:
+        cls = _CLASSES[name](ctx)
     elif name.startswith("ck:"):
         try:
             k = int(name[3:])
@@ -145,19 +144,15 @@ def _cmd_realize(parser, args):
                          % ctx.window.hi)
         cls = sym_power_class(ctx, k)
     else:
-        parser.error("unknown class %r (use m2, m3, jac, or ck:<k>)" % name)
-    if args.target == "poincare":
-        target = POINCARE
-    elif args.target == "hodge":
-        target = HODGE
-    else:
+        parser.error("unknown class %r (use %s, or ck:<k>)" % (name, ", ".join(_CLASSES)))
+    target = args.target
+    if target == "count":
         if not args.counts:
             parser.error("--target count requires --counts")
-        data = _read_counts(parser, args.counts)
-        if data.g != args.genus:
+        target = _read_counts(parser, args.counts)
+        if target.g != args.genus:
             parser.error("point-count data is for genus %d, not %d"
-                         % (data.g, args.genus))
-        target = count_target(data)
+                         % (target.g, args.genus))
     out = {
         "schema": 1,
         "class": name,

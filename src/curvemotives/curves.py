@@ -30,20 +30,20 @@ __all__ = [
 ]
 
 
-# while open: the classes of one genus, keyed by (build, context, arguments)
-_cache = {"genus": None, "classes": None}
+# while open: the classes built so far, keyed by (build, context, arguments)
+_cache = {"classes": None}
 
 
 def open_cache():
-    """Open the class cache: each class is built once per context, and the
-    cache is emptied when a class of another genus is asked for, so a run
-    that goes genus by genus holds one genus at a time."""
-    _cache.update(genus=None, classes={})
+    """Open the class cache: each class is built once per context.  The suite
+    opens it for one job, one genus's checks; a caller who opens it by hand
+    holds every class it builds until ``close_cache``."""
+    _cache["classes"] = {}
 
 
 def close_cache():
     """Close the class cache: until it is opened again, every class is built."""
-    _cache.update(genus=None, classes=None)
+    _cache["classes"] = None
 
 
 def cached(build):
@@ -53,8 +53,6 @@ def cached(build):
     def wrapper(ctx, *args, **kwargs):
         if _cache["classes"] is None:
             return build(ctx, *args, **kwargs)
-        if _cache["genus"] != ctx.g:
-            _cache.update(genus=ctx.g, classes={})
         classes, key = _cache["classes"], (build, ctx, args, tuple(sorted(kwargs.items())))
         if key not in classes:
             classes[key] = build(ctx, *args, **kwargs)

@@ -46,12 +46,11 @@ __all__ = [
     "bun_chi",
     "unstable_rank2_chi",
     "m2_chi",
-    "rank2_min_ceiling",
+    "min_ceiling",
     "template_blocks",
     "rank2_decomposition",
     "unstable_rank3_chi",
     "m3_chi",
-    "rank3_min_ceiling",
     "rank3_decomposition",
     "template_class",
     "j_squared_cancellation",
@@ -141,23 +140,19 @@ def unstable_rank2_chi(ctx) -> MotiveSeries:
     return _unstable_rank2(ctx, Mode.ADIC)
 
 
-def rank2_min_ceiling(g):
-    """The lowest adic window ceiling m2_chi accepts: 3g-2."""
-    return 3 * g - 2
+def min_ceiling(r, g):
+    """The lowest adic window ceiling the rank-r moduli class accepts, one
+    past its dimension: (r^2-1)(g-1)+1, so 3g-2 for m2_chi and 8g-7 for m3_chi."""
+    return (r * r - 1) * (g - 1) + 1
 
 
-def rank3_min_ceiling(g):
-    """The lowest adic window ceiling m3_chi accepts: 8g-7."""
-    return 8 * g - 7
-
-
-def _moduli_class(ctx, r, min_ceiling, unstable):
+def _moduli_class(ctx, r, unstable):
     """Rank-r fixed-determinant moduli class: the bundle stack minus the
-    unstable strata.  It is a polynomial supported up to min_ceiling(g) - 1;
+    unstable strata.  It is a polynomial supported up to min_ceiling(r, g) - 1;
     that vanishing is re-verified on the whole window, whose ceiling must
     pass it (else the check would see nothing), before returning."""
     _require(ctx, Mode.ADIC)
-    need = min_ceiling(ctx.g)
+    need = min_ceiling(r, ctx.g)
     if ctx.window.hi < need:
         raise ValueError("window ceiling %d does not pass the support bound %d "
                          "(needs >= %d)" % (ctx.window.hi, need - 1, need))
@@ -172,7 +167,7 @@ def _moduli_class(ctx, r, min_ceiling, unstable):
 @cached
 def m2_chi(ctx) -> MotiveSeries:
     """Rank-2 fixed-determinant moduli class, a polynomial in [0, 3g-3]."""
-    return _moduli_class(ctx, 2, rank2_min_ceiling, unstable_rank2_chi)
+    return _moduli_class(ctx, 2, unstable_rank2_chi)
 
 
 def template_blocks(r, g):
@@ -248,7 +243,7 @@ def _unstable_rank3_raw(ctx) -> MotiveSeries:
 @cached
 def m3_chi(ctx) -> MotiveSeries:
     """Rank-3 fixed-determinant moduli class, a polynomial in [0, 8g-8]."""
-    return _moduli_class(ctx, 3, rank3_min_ceiling, unstable_rank3_chi)
+    return _moduli_class(ctx, 3, unstable_rank3_chi)
 
 
 def rank3_decomposition(ctx) -> MotiveSeries:

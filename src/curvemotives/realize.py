@@ -17,7 +17,6 @@ or the constructor refuses the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, prod
 
@@ -26,10 +25,8 @@ from .series import Mode, _digits, _width
 
 __all__ = [
     "CountingData",
-    "RealizationTarget",
     "POINCARE",
     "HODGE",
-    "count_target",
     "realize",
     "newstead_oracle",
     "sym_count_oracle",
@@ -119,22 +116,13 @@ class CountingData:
         return self.q ** j + 1 - (-1) ** j * self._power_sum(j)
 
 
-@dataclass(frozen=True)
-class RealizationTarget:
-    kind: str
-    counting: CountingData | None = None
-
-
-POINCARE = RealizationTarget("poincare")
-HODGE = RealizationTarget("hodge")
-
-
-def count_target(data: CountingData) -> RealizationTarget:
-    return RealizationTarget("count", data)
+POINCARE = "poincare"
+HODGE = "hodge"
 
 
 def realize(series, target):
-    """Apply the target homomorphism to a polynomial class.  A target maps
+    """Apply the target homomorphism, POINCARE, HODGE or the counting
+    realization of a CountingData, to a polynomial class.  A target maps
     lambda_a to ``lam[a]``, of degree a, and L to ``ell``, of degree 2, so
     c m L^e, for m a lambda-monomial of degree d, adds c ell^e times the
     image of m, shifted up e slots of ``width`` bits, in degree d + 2e.
@@ -151,24 +139,22 @@ def realize(series, target):
     if series.mode is Mode.DIMENSIONAL and series.valid_lo > 0:
         raise ValueError("realization needs the class from L^0 up; this dimensional "
                          "class is valid only from L^%d" % series.valid_lo)
-    g, data, width = series.g, target.counting, 0
-    if target.kind == "count":
-        if data is None:
-            raise ValueError("counting realization needs point-count data")
-        if data.g != g:
-            raise ValueError("point-count data is for genus %d, class has genus %d" % (data.g, g))
-        lam, ell = [data.lambda_count(a) for a in range(g + 1)], data.q
-    elif target.kind in ("poincare", "hodge"):
+    g, width = series.g, 0
+    if isinstance(target, CountingData):
+        if target.g != g:
+            raise ValueError("point-count data is for genus %d, class has genus %d" % (target.g, g))
+        lam, ell = [target.lambda_count(a) for a in range(g + 1)], target.q
+    elif target in (POINCARE, HODGE):
         lam, ell = [comb(2 * g, a) for a in range(g + 1)], 1
     else:
-        raise ValueError("unknown realization target %r" % (target.kind,))
+        raise ValueError("unknown realization target %r" % (target,))
     rows = series._lpolys()
     if not rows:
         return 0
     low = min(e for _, terms in rows for e, _ in terms)
     if low < 0:
         raise ValueError("realization needs nonnegative exponents, got L^%d" % low)
-    if target.kind == "hodge":
+    if target == HODGE:
         width = _width(sum(prod(lam[i + 1] ** ei for i, ei in enumerate(mono))
                            * sum(abs(c) for _, c in terms) for mono, terms in rows))
         lam = [sum(comb(g, i) * comb(g, a - i) << i * width for i in range(a + 1))
@@ -181,9 +167,9 @@ def realize(series, target):
                 image, d = image * lam[i + 1] ** ei, d + (i + 1) * ei
         for e, c in terms:
             total[d + 2 * e] = total.get(d + 2 * e, 0) + (c * ell ** e * image << e * width)
-    if target.kind == "count":
+    if isinstance(target, CountingData):
         return sum(total.values())
-    if target.kind == "hodge":
+    if target == HODGE:
         return IntPoly2._trusted({(i, n - i): c for n, v in total.items()
                                   for i, c in enumerate(_digits(v, width, n + 1)) if c})
     return IntPoly._trusted({n: c for n, c in total.items() if c})
@@ -226,10 +212,9 @@ def count_cross_check(ctx, data: CountingData, k_max=None):
                          % (ctx.g, data.g))
     if k_max is None:
         k_max = 2 * ctx.g
-    target = count_target(data)
     rows = []
     for k in range(0, k_max + 1):
-        got = realize(sym_power_class(ctx, k), target)
+        got = realize(sym_power_class(ctx, k), data)
         rows.append((k, got, sym_count_oracle(data, k)))
     return rows
 

@@ -194,7 +194,7 @@ def test_narrowed_reading_matches_the_full_product(g):
     # the same Comparison (verdict, range, witness exponent and delta) as
     # the whole product, on every ceiling from the check's minimum to 20
     # above it, with the window floor at 0 and at -2
-    need = moduli.rank3_min_ceiling(g)
+    need = moduli.min_ceiling(3, g)
     for lo in (0, -2):
         for hi in range(need, need + 21):
             ctx = GenusContext.adic(g, hi=hi, lo=lo)

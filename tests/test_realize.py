@@ -15,7 +15,6 @@ from curvemotives.realize import (
     POINCARE,
     CountingData,
     count_cross_check,
-    count_target,
     genus2_fixture_counts,
     newstead_oracle,
     realize,
@@ -85,7 +84,7 @@ def test_count_cross_check_rows():
 
 def test_count_realization_is_multiplicative():
     ctx = GenusContext.adic(2)
-    target = count_target(_fixture())
+    target = _fixture()
     jac = jacobian_class(ctx)
     c2 = sym_power_class(ctx, 2)
     assert realize(jac * c2, target) == realize(jac, target) * realize(c2, target)
@@ -165,7 +164,7 @@ def test_count_rejects_negative_exponents():
     dctx = GenusContext.dimensional(2)
     s = MotiveSeries(dctx, {-1: CoeffPoly.one(2)})
     with pytest.raises(ValueError):
-        realize(s, count_target(_fixture()))
+        realize(s, _fixture())
 
 
 @pytest.mark.parametrize("target", [POINCARE, HODGE])
@@ -208,7 +207,7 @@ PRINTED = [
     (lambda: jacobian_class(GenusContext.adic(2)), "(1 + l1 + l2) + l1*L + L^2"),
     (lambda: realize(rank2_decomposition(GenusContext.adic(2)), POINCARE),
      "1 + x^2 + 4*x^3 + x^4 + x^6"),
-    (lambda: realize(rank2_decomposition(GenusContext.adic(2)), count_target(_fixture())),
+    (lambda: realize(rank2_decomposition(GenusContext.adic(2)), _fixture()),
      "40"),
 ]
 
@@ -227,7 +226,13 @@ def test_polynomial_types_are_unhashable(value):
 def test_count_genus_mismatch_rejected():
     ctx = GenusContext.adic(3)
     with pytest.raises(ValueError):
-        realize(jacobian_class(ctx), count_target(_fixture()))
+        realize(jacobian_class(ctx), _fixture())
+
+
+@pytest.mark.parametrize("target", ["count", None, 3])
+def test_unknown_target_rejected(target):
+    with pytest.raises(ValueError, match="^unknown realization target"):
+        realize(jacobian_class(GenusContext.adic(2)), target)
 
 
 # -- the monomial-by-monomial realization as the reference -----------------
@@ -242,7 +247,7 @@ def _reference_images(target, g):
     if target is HODGE:
         return ([IntPoly2({(i, a - i): comb(g, i) * comb(g, a - i) for i in range(a + 1)})
                  for a in range(g + 1)], IntPoly2.monomial(1, 1))
-    return [target.counting.lambda_count(a) for a in range(g + 1)], target.counting.q
+    return [target.lambda_count(a) for a in range(g + 1)], target.q
 
 
 def _realize_reference(series, target):
@@ -265,7 +270,7 @@ def _realize_reference(series, target):
 def _targets(g):
     out = [POINCARE, HODGE]
     if g == 2:
-        out.append(count_target(genus2_fixture_counts()))
+        out.append(genus2_fixture_counts())
     return out
 
 
@@ -330,7 +335,7 @@ def test_hodge_zero_class_and_refusals():
 def test_poincare_and_count_zero_class_and_cancellation():
     ctx = GenusContext.adic(2)
     data = genus2_fixture_counts()
-    for target in (POINCARE, count_target(data)):
+    for target in (POINCARE, data):
         assert type(realize(MotiveSeries(ctx), target)) is int
         assert realize(MotiveSeries(ctx), target) == 0
     # l1^2 - 16 L is nonzero, but its image (4t)^2 - 16 t^2 is zero
@@ -340,8 +345,8 @@ def test_poincare_and_count_zero_class_and_cancellation():
     cls = MotiveSeries(ctx, {0: CoeffPoly(2, {(1, 0): 1, (0, 1): 3,
                                               (0, 0): -data.lambda_count(1)}),
                              1: CoeffPoly(2, {(0, 1): -1})})
-    assert realize(cls, count_target(data)) == 0
-    assert realize(cls, count_target(data)) == _realize_reference(cls, count_target(data))
+    assert realize(cls, data) == 0
+    assert realize(cls, data) == _realize_reference(cls, data)
 
 
 @st.composite
@@ -394,7 +399,7 @@ def test_realize_refuses_a_truncated_dimensional_class(lo):
     # its coefficients on [0, 3]; at face value they realize to x^6 and 0
     cls = m2_var(GenusContext.dimensional(2, lo=lo))
     assert cls.valid_lo > 0
-    for target in (POINCARE, HODGE, count_target(_fixture())):
+    for target in (POINCARE, HODGE, _fixture()):
         with pytest.raises(ValueError, match="valid only from L\\^%d" % cls.valid_lo):
             realize(cls, target)
     # from L^0 up the same class realizes, as the adic one does
