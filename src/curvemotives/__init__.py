@@ -51,7 +51,6 @@ from .moduli import (
     rank2_decomposition,
     rank3_decomposition,
     template_blocks,
-    template_class,
     unstable_rank2_chi,
     unstable_rank2_var_closed,
     unstable_rank2_var_sum,

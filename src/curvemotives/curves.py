@@ -47,8 +47,8 @@ def close_cache():
 
 
 def cached(build):
-    """``build(ctx, ...)``, memoized by (class, context) while the class
-    cache is open.  A class is shared as is: no operation changes a MotiveSeries."""
+    """``build(ctx, ...)``, memoized by (class, context or genus) while the
+    class cache is open.  A class is shared as is: nothing changes a MotiveSeries."""
     @functools.wraps(build)
     def wrapper(ctx, *args, **kwargs):
         if _cache["classes"] is None:

@@ -37,6 +37,9 @@ from .series import (
     Mode,
     MotiveSeries,
     TruncationWindow,
+    _basis_row,
+    _value_class,
+    _width,
     lefschetz_power,
     one,
     zero,
@@ -52,7 +55,6 @@ __all__ = [
     "unstable_rank3_chi",
     "m3_chi",
     "rank3_decomposition",
-    "template_class",
     "j_squared_cancellation",
     "j_linear_closed_form",
     "frac_part",
@@ -190,25 +192,43 @@ def template_blocks(r, g):
     return blocks
 
 
-def template_class(ctx, blocks) -> MotiveSeries:
-    """Sum over blocks of (product of symmetric powers) * (sum of L powers).
-    Each distinct symmetric power is built once, and each first index k1
-    costs one product [C_k1] P_k1, P_k1 the sum of its blocks' other factors."""
-    sym = {k: sym_power_class(ctx, k) for k in {k for ks, _ in blocks for k in ks}}
-    partners = {}
-    for ks, exps in blocks:
-        term = MotiveSeries(ctx, Counter(exps))
-        for k in ks[1:]:
-            term = sym[k] * term
-        partners[ks[0]] = partners[ks[0]] + term if ks[0] in partners else term
-    return sum((sym[k1] * partner for k1, partner in partners.items()), zero(ctx))
-
-
 @cached
+def _template_value(g, blocks):
+    """The template over ``blocks`` as an exact value (W, {monomial: int}),
+    each int a polynomial in L in W-bit digits, cached by genus for both
+    completions.  Row b of [C_k] is l_b (1 + L + .. + L^{k-b}), so along
+    each index S(b) = T(b) + L S(b+1), T the suffix sum of the blocks' L
+    powers, sums the rows with no product ([C_0] = 1 pads k); rows b > g
+    fold by _basis_row.  A digit counts terms of the products, whose total sets W."""
+    total = sum(len(exps) * math.prod((k + 1) * (k + 2) // 2 for k in ks) for ks, exps in blocks)
+    n = max((len(ks) for ks, _ in blocks), default=0)
+    width, grid, value = _width(total), {}, {}
+    for ks, exps in blocks:
+        k = ks + (0,) * (n - len(ks))
+        grid[k] = grid.get(k, 0) + sum(1 << e * width for e in exps)
+    for _ in range(n):  # the recursion along the last index, which moves to the front
+        lines = {}
+        for k, f in grid.items():
+            lines.setdefault(k[:-1], {})[k[-1]] = f
+        grid = {}
+        for rest, line in lines.items():
+            t = s = 0
+            for b in range(max(line), -1, -1):
+                t += line.get(b, 0)
+                s = t + (s << width)
+                if b <= 2 * g:
+                    grid[(b,) + rest] = s
+    for b, q in grid.items():
+        rows = [_basis_row(g, bi) for bi in b]
+        mono = tuple(map(sum, zip(*(m for m, _ in rows))))
+        value[mono] = value.get(mono, 0) + (q << sum(o for _, o in rows) * width)
+    return width, value
+
+
 def rank2_decomposition(ctx) -> MotiveSeries:
     """Symmetric-power decomposition of the rank-2 moduli class:
     sum_{k=0}^{g-2} [C_k](L^k + L^{3g-3-2k}) + [C_{g-1}] L^{g-1}."""
-    return template_class(ctx, template_blocks(2, ctx.g))
+    return _value_class(ctx, *_template_value(ctx.g, tuple(template_blocks(2, ctx.g))))
 
 
 def unstable_rank3_chi(ctx) -> MotiveSeries:
@@ -248,7 +268,7 @@ def m3_chi(ctx) -> MotiveSeries:
 
 def rank3_decomposition(ctx) -> MotiveSeries:
     """Symmetric-power decomposition of the rank-3 moduli class."""
-    return template_class(ctx, template_blocks(3, ctx.g))
+    return _value_class(ctx, *_template_value(ctx.g, tuple(template_blocks(3, ctx.g))))
 
 
 # -- the two intermediate identities behind the rank-3 subtraction ---------

@@ -35,13 +35,13 @@ sum per monomial, shift a bit shift, the cut to a validity range a mask
 with a sign fix (or a right shift with a borrow fix), and a division by a
 unit one exact integer division per monomial.
 
-Both constructors read runs (monomial, e0, length, c), c on each of L^e0 ..
-L^(e0+length-1): the terms of ``MotiveSeries`` are runs of length one, the
-closed forms of ``_run_class`` runs of ones.  One span rule maps a run to
-slots s0 .. s1-1, cuts it at the free end (dropping it past there) and, in
-input order, refuses one that reaches past the exact end.  One packing rule
-writes a span as c (B^s1 - B^s0) / (B - 1), B = 2^W: each monomial's
-numerators are summed and divided once, exactly, as ``div_unit`` divides.
+The constructors read runs (monomial, e0, length, c), c on each of L^e0 ..
+L^(e0+length-1): terms (``MotiveSeries``, ``_value_class``) are runs of
+length one, the closed forms of ``_run_class`` runs of ones.  One span rule
+maps a run to slots s0 .. s1-1, cuts it at the free end (dropping it past
+there) and, in input order, refuses one that reaches past the exact end.
+One packing rule writes a span as c (B^s1 - B^s0) / (B - 1), B = 2^W: the
+numerators of a monomial are summed and divided once, exactly.
 
 The slot width is never fixed.  Each series carries a proven bound on the
 absolute value of its coefficients, and W is the smallest multiple of 24
@@ -249,7 +249,7 @@ def _pack_spans(spans, bound):
     module docstring), at the width of ``bound``."""
     width, num = _width(bound), {}
     for mono, s0, s1, c in spans:
-        num[mono] = num.get(mono, 0) + (c << s1 * width) - (c << s0 * width)
+        num[mono] = num.get(mono, 0) + (((c << (s1 - s0) * width) - c) << s0 * width)
     unit = (1 << width) - 1
     return {mono: v // unit for mono, v in num.items()}, width
 
@@ -828,6 +828,17 @@ def _run_class(ctx, runs):
     for mono, _, _, c in spans:
         total[mono] = total.get(mono, 0) + abs(c)
     bound = max(total.values(), default=0)
+    return MotiveSeries._trusted(ctx, *_pack_spans(spans, bound), bound, top)
+
+
+def _value_class(ctx, width, value):
+    """The class of an exact value (``moduli._template_value``), valid on the
+    whole window: its terms through the constructor's span and packing rules."""
+    runs = ((mono, e, 1, c) for mono, v in value.items()
+            for e, c in enumerate(_digits(v, width, v.bit_length() // width + 1)) if c)
+    top = ctx.window.hi - ctx.window.lo
+    spans = _spans(ctx, runs, top)
+    bound = max([abs(span[3]) for span in spans], default=0)
     return MotiveSeries._trusted(ctx, *_pack_spans(spans, bound), bound, top)
 
 

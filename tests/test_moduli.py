@@ -1,6 +1,7 @@
 """Moduli pipelines: stacks, unstable strata, decompositions, both modes."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,8 @@ from curvemotives.moduli import (
     m3_var,
     rank2_decomposition,
     rank3_decomposition,
+    _template_value,
     template_blocks,
-    template_class,
     unstable_rank2_chi,
     unstable_rank2_var_closed,
     unstable_rank2_var_sum,
@@ -31,8 +32,8 @@ from curvemotives.moduli import (
     x_identity_all,
     x_identity_delta,
 )
-from curvemotives.series import (CoeffPoly, GenusContext, MotiveSeries, lefschetz_power, one,
-                                  zero)
+from curvemotives.series import (CoeffPoly, GenusContext, Mode, MotiveSeries, _digits,
+                                  _value_class, lefschetz_power, one, zero)
 
 
 def test_m2_genus2_table():
@@ -137,8 +138,23 @@ def test_m3_g6_duplicate_exponent_block():
 
 def test_template_class_accumulates_duplicate_exponents():
     ctx = GenusContext.adic(2)
-    doubled = template_class(ctx, [((0, 0), (2, 2))])
-    assert doubled.coefficient(2) == 2
+    for build in (template_class, _exact_template):
+        assert build(ctx, [((0, 0), (2, 2))]).coefficient(2) == 2
+
+
+def template_class(ctx, blocks):
+    """The template as series products, the oracle of the exact value: the
+    sum over blocks of (product of symmetric powers) * (sum of L powers).
+    Each distinct symmetric power is built once, and each first index k1
+    costs one product [C_k1] P_k1, P_k1 the sum of its blocks' other factors."""
+    sym = {k: sym_power_class(ctx, k) for k in {k for ks, _ in blocks for k in ks}}
+    partners = {}
+    for ks, exps in blocks:
+        term = MotiveSeries(ctx, Counter(exps))
+        for k in ks[1:]:
+            term = sym[k] * term
+        partners[ks[0]] = partners[ks[0]] + term if ks[0] in partners else term
+    return sum((sym[k1] * partner for k1, partner in partners.items()), zero(ctx))
 
 
 def _template_reference(ctx, blocks):
@@ -158,13 +174,47 @@ def _template_reference(ctx, blocks):
     return out
 
 
+def _exact_template(ctx, blocks):
+    """The template over ``blocks`` as rank2/rank3_decomposition build it:
+    its exact value, read into ctx."""
+    return _value_class(ctx, *_template_value(ctx.g, blocks))
+
+
+def _assert_template_matches_oracle(ctx, blocks, defaults):
+    """The exact template on ctx raises ValueError where the oracle does.
+    Otherwise it equals the oracle built on the mode's default window
+    (cached per mode in ``defaults``) on its whole validity range, and is
+    zero below that oracle's floor; it has the oracle's JSON in the same
+    adic window, and a validity range containing the oracle's in the same
+    dimensional window."""
+    try:
+        want = template_class(ctx, blocks)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _exact_template(ctx, blocks)
+        return
+    got = _exact_template(ctx, blocks)
+    assert got.validate()
+    if ctx.mode not in defaults:
+        build = GenusContext.adic if ctx.mode is Mode.ADIC else GenusContext.dimensional
+        defaults[ctx.mode] = template_class(build(ctx.g), blocks)
+    ref = defaults[ctx.mode]
+    assert got.coeffs == ref.coefficient_table(max(got.valid_lo, ref.valid_lo), got.valid_hi)
+    if ctx.mode is Mode.ADIC:
+        assert got.to_json() == want.to_json()
+    else:
+        assert got.valid_lo <= want.valid_lo and got.valid_hi >= want.valid_hi
+
+
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_template_class_matches_blockwise_reference_on_every_window(g):
     # every adic ceiling 0..10g+10 and every dimensional floor -(10g+10)..0
     ctxs = [GenusContext.adic(g, hi=hi) for hi in range(0, 10 * g + 11)]
     ctxs += [GenusContext.dimensional(g, lo=lo) for lo in range(-(10 * g + 10), 1)]
     for blocks in (template_blocks(2, g), template_blocks(3, g)):
+        defaults = {}
         for ctx in ctxs:
+            _assert_template_matches_oracle(ctx, blocks, defaults)
             assert (_outcome(lambda c: template_class(c, blocks), ctx)
                     == _outcome(lambda c: _template_reference(c, blocks), ctx)), ctx
 
@@ -190,8 +240,31 @@ def _template_cases(draw):
 @given(_template_cases())
 def test_template_class_matches_blockwise_reference_on_random_blocks(case):
     ctx, blocks = case
+    _assert_template_matches_oracle(ctx, blocks, {})
     assert (_outcome(lambda c: template_class(c, blocks), ctx)
             == _outcome(lambda c: _template_reference(c, blocks), ctx))
+
+
+def test_template_value_has_no_rows_past_2g():
+    # [C_k] for k > 2g has rows b <= 2g only; the recursion still passes
+    # through the indices above 2g
+    for ctx in (GenusContext.adic(2), GenusContext.dimensional(2)):
+        _assert_template_matches_oracle(ctx, [((7, 1), (0, 2)), ((5,), (1,))], {})
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_template_value_is_self_dual(r):
+    # M(r, L) is smooth and projective of dimension N = (r^2-1)(g-1), so a
+    # lambda-monomial of degree d carries at L^e what it carries at L^(N-e-d)
+    for g in range(2, 31):
+        n = (r * r - 1) * (g - 1)
+        width, value = _template_value(g, template_blocks(r, g))
+        for mono, v in value.items():
+            d = sum(i * m for i, m in enumerate(mono, 1))
+            terms = {e: c for e, c in enumerate(_digits(v, width, v.bit_length() // width + 1))
+                     if c}
+            assert max(terms) <= n, (g, mono)  # digits start at L^0
+            assert all(terms.get(n - e - d) == c for e, c in terms.items()), (g, mono)
 
 
 def test_bun_and_bgm():
