@@ -29,9 +29,8 @@ from .curves import (
     jacobian_class,
     sym_power_class,
 )
-from .polys import IntPoly
+from .polys import IntPoly, add_into
 from .series import (
-    CoeffPoly,
     Comparison,
     GenusContext,
     Mode,
@@ -548,19 +547,19 @@ def m3_var(ctx) -> MotiveSeries:
 
 
 def cross_mode_agreement(x: MotiveSeries, y: MotiveSeries, lo: int, hi: int) -> Comparison:
-    """Exact coefficient-table comparison of two series on [lo, hi]; the
-    series may come from different modes (both must be valid there).  An
-    empty range raises ValueError."""
+    """Exact comparison of two series on [lo, hi], int by int of their
+    ascending views at one width; the series may come from different modes
+    (both must be valid there).  Only the lowest differing slot is decoded,
+    for the witness.  An empty range raises ValueError."""
     if lo > hi:
         raise ValueError("no shared validity range to compare on")
-    tx = x.coefficient_table(lo, hi)
-    ty = y.coefficient_table(lo, hi)
-    zx, zy = CoeffPoly.zero(x.g), CoeffPoly.zero(y.g)
-    for e in sorted(set(tx) | set(ty)):
-        mine, theirs = tx.get(e, zx), ty.get(e, zy)
-        if mine != theirs:
-            return Comparison(False, lo, hi, e, mine - theirs)
-    return Comparison(True, lo, hi)
+    width = max(x.width, y.width)
+    (_, mine), (_, theirs) = x._ascending(width, lo, hi), y._ascending(width, lo, hi)
+    if mine == theirs:
+        return Comparison(True, lo, hi)
+    diff = add_into(dict(mine), theirs, -1)
+    e = lo + (min(d & -d for d in diff.values()).bit_length() - 1) // width
+    return Comparison(False, lo, hi, e, x.coefficient(e) - y.coefficient(e))
 
 
 def _cross_mode(dim: MotiveSeries, adic: MotiveSeries) -> Comparison:

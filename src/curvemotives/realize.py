@@ -122,57 +122,70 @@ HODGE = "hodge"
 
 def realize(series, target):
     """Apply the target homomorphism, POINCARE, HODGE or the counting
-    realization of a CountingData, to a polynomial class.  A target maps
-    lambda_a to ``lam[a]``, of degree a, and L to ``ell``, of degree 2, so
-    c m L^e, for m a lambda-monomial of degree d, adds c ell^e times the
-    image of m, shifted up e slots of ``width`` bits, in degree d + 2e.
-    POINCARE (C(2g, a) t^a and t^2 as C(2g, a) and 1) keeps the degrees and
-    a count (its images and q) sums them, both with width 0.  HODGE puts the
-    coefficient of u^i v^(a-i) in slot i of W bits, so L = uv is a shift by
-    one slot, and unpacks each degree; its images are non-negative, so W
-    holds every partial sum if it holds the class with absolute coefficients
-    at u = v = 1 (lambda^a -> C(2g, a)).  The zero class realizes to the int 0.  The
-    stored coefficients are taken at face value, so only feed this classes
-    that are genuinely polynomial (moduli classes, symmetric powers, the
-    Jacobian); a dimensional one valid only from L^e, e > 0, is refused
-    with ValueError, as its coefficients below L^e are unknown."""
+    realization of a CountingData, to a polynomial class, straight from its
+    packed ints: v_m, the int of a lambda-monomial m of degree d, holds
+    L^(e0+j) in slot j of W bits (``MotiveSeries._ascending``).  W is the
+    width of the class's bound times sum |img_m|, img_m the image of m at
+    u = v = t = 1, so it holds every output coefficient, which takes at most
+    one term of each monomial.  A count decodes sum img_m v_m and evaluates
+    it at L = q; POINCARE (L = t^2) decodes sum img_m v_m << (d // 2) W per
+    parity of d; HODGE adds img_(m,i) v_m << i W, img_(m,i) the coefficient
+    of u^i v^(d-i), into diagonal d - 2i for each i <= d/2 and decodes each
+    diagonal once into h^(p,p+d-2i), p = e0 + slot.  The images of lambda_a
+    and of L = uv are symmetric in u and v, so h^(p+d-2i,p) is the same
+    number.  The zero class realizes to the int 0.  Coefficients are taken
+    at face value, so only feed this genuinely polynomial classes (moduli
+    classes, symmetric powers, the Jacobian); a negative exponent is refused
+    with ValueError, and so is a dimensional class valid only from L^e,
+    e > 0, as its coefficients below L^e are unknown."""
     if series.mode is Mode.DIMENSIONAL and series.valid_lo > 0:
         raise ValueError("realization needs the class from L^0 up; this dimensional "
                          "class is valid only from L^%d" % series.valid_lo)
-    g, width = series.g, 0
-    if isinstance(target, CountingData):
+    g, count, ks = series.g, isinstance(target, CountingData), range(1, series.g + 1)
+    if count:
         if target.g != g:
             raise ValueError("point-count data is for genus %d, class has genus %d" % (target.g, g))
-        lam, ell = [target.lambda_count(a) for a in range(g + 1)], target.q
+        lam = [target.lambda_count(a) for a in ks]
     elif target in (POINCARE, HODGE):
-        lam, ell = [comb(2 * g, a) for a in range(g + 1)], 1
+        lam = [comb(2 * g, a) for a in ks]
     else:
         raise ValueError("unknown realization target %r" % (target,))
-    rows = series._lpolys()
-    if not rows:
+    if not series.packed:
         return 0
-    low = min(e for _, terms in rows for e, _ in terms)
-    if low < 0:
-        raise ValueError("realization needs nonnegative exponents, got L^%d" % low)
+    rows = [(m, sum(map(int.__mul__, ks, m)), prod(map(pow, lam, m))) for m in series.packed]
+    width = _width(series.bound * (sum(abs(img) for _, _, img in rows) or 1))
+    e0, packed = series._ascending(width)
+    if e0 < 0:
+        raise ValueError("realization needs nonnegative exponents, got L^%d" % e0)
+    sums = {}  # (diagonal, slots to shift): a weighted sum of the monomials' ints
     if target == HODGE:
-        width = _width(sum(prod(lam[i + 1] ** ei for i, ei in enumerate(mono))
-                           * sum(abs(c) for _, c in terms) for mono, terms in rows))
-        lam = [sum(comb(g, i) * comb(g, a - i) << i * width for i in range(a + 1))
-               for a in range(g + 1)]
-    total = {}
-    for mono, terms in rows:
-        image, d = 1, 0
-        for i, ei in enumerate(mono):
-            if ei:
-                image, d = image * lam[i + 1] ** ei, d + (i + 1) * ei
-        for e, c in terms:
-            total[d + 2 * e] = total.get(d + 2 * e, 0) + (c * ell ** e * image << e * width)
-    if isinstance(target, CountingData):
-        return sum(total.values())
-    if target == HODGE:
-        return IntPoly2._trusted({(i, n - i): c for n, v in total.items()
-                                  for i, c in enumerate(_digits(v, width, n + 1)) if c})
-    return IntPoly._trusted({n: c for n, c in total.items() if c})
+        cg, hodge = [comb(g, i) for i in range(g + 1)], None
+        for m, d, _ in rows:
+            if sum(m) <= 1:  # 1 or lambda_d itself
+                cs = [cg[i] * cg[d - i] for i in range(d // 2 + 1)]
+            else:  # a product of the images of lambda_a, u^i in slot i
+                hodge = hodge or [sum(cg[i] * cg[a - i] << i * width for i in range(a + 1))
+                                  for a in ks]
+                cs = _digits(prod(map(pow, hodge, m)), width, d + 1)[:d // 2 + 1]
+            for i, c in enumerate(cs):
+                sums[d - 2 * i, i] = sums.get((d - 2 * i, i), 0) + c * packed[m]
+    else:
+        for m, d, img in rows:
+            key = (d % 2, d // 2) if target == POINCARE else (0, 0)
+            sums[key] = sums.get(key, 0) + img * packed[m]
+    diagonals = {}
+    for (delta, i), v in sums.items():
+        diagonals[delta] = diagonals.get(delta, 0) + (v << i * width)
+    out = [(delta, p, c) for delta, v in diagonals.items()
+           for p, c in enumerate(_digits(v, width, abs(v).bit_length() // width + 1), e0) if c]
+    if count:
+        return sum(c * target.q ** p for _, p, c in out)
+    if target == POINCARE:
+        return IntPoly._trusted({2 * p + delta: c for delta, p, c in out})
+    terms = {}
+    for delta, p, c in out:
+        terms[p, p + delta] = terms[p + delta, p] = c
+    return IntPoly2._trusted(terms)
 
 
 def newstead_oracle(g: int) -> IntPoly:

@@ -60,7 +60,10 @@ narrower than the result's is repacked first.
 
 CoeffPoly stays the public coefficient type: ``coeffs``, ``coefficient``,
 ``items``, the witnesses of ``equals`` and the JSON form decode the packed
-ints on demand.
+ints on demand.  Readers that need exponents in ascending order in either
+mode (``realize``, ``moduli.cross_mode_agreement``) take ``_ascending``: the
+ints on an exponent range, L^(lo+j) in slot j at a chosen width, repacked
+through bytes, which reverses the slot order of a DIMENSIONAL series.
 """
 
 from __future__ import annotations
@@ -181,16 +184,19 @@ def _digits(v, width, n):
     return [int.from_bytes(raw[j:j + k], "little") - half for j in range(0, n * k, k)]
 
 
-def _repack(packed, width, new_width, n):
+def _repack(packed, width, new_width, n, reverse=False):
     """The ints of ``packed``, of n slots each, with every digit moved into
-    a slot of ``new_width`` bits (new_width > width)."""
+    a slot of ``new_width`` >= width bits, in reverse slot order if
+    ``reverse``: the big-endian bytes hold the slots last first, each
+    slot's bytes high first."""
     k, k2, half = width // 8, new_width // 8, 1 << (width - 1)
     lift, lower = _fill(half, k, n), _fill(half, k2, n)
     out = {}
     for m, v in packed.items():
-        src, dst = (v + lift).to_bytes(n * k, "little"), bytearray(n * k2)
+        src = (v + lift).to_bytes(n * k, "big" if reverse else "little")
+        dst = bytearray(n * k2)
         for j in range(k):
-            dst[j::k2] = src[j::k]
+            dst[j::k2] = src[k - 1 - j::k] if reverse else src[j::k]
         out[m] = int.from_bytes(dst, "little") - lower
     return out
 
@@ -460,25 +466,31 @@ class MotiveSeries:
                     out[m] = v
         return _repack(out, own, width, n) if width != own else out
 
-    def _lpolys(self):
-        """[(monomial, [(exponent, coefficient), ..]), ..]: the Laurent
-        polynomial of each monomial, nonzero coefficients only."""
-        w, width = self.ctx.window, self.width
-        base, step = w.exponent(0), w.exponent(1) - w.exponent(0)
-        out = []
-        for mono, v in self.packed.items():
-            digits = _digits(v, width, abs(v).bit_length() // width + 1)
-            out.append((mono, [(base + step * s, c) for s, c in enumerate(digits) if c]))
-        return out
+    def _ascending(self, width, lo=None, hi=None):
+        """(lo, {monomial: int}): the terms on the exponents lo .. hi of the
+        validity range, by default the occupied ones of a nonzero series,
+        with L^(lo+j) in slot j of ``width`` >= self.width bits.  The view of
+        ``_view``, its slot order reversed through bytes in DIMENSIONAL mode."""
+        w = self.ctx.window
+        if lo is None:
+            lo, hi = sorted(map(w.exponent, self._shape()[:2]))
+        elif lo < self.valid_lo or hi > self.valid_hi:
+            raise ValueError("[%d, %d] is not inside the validity range [%d, %d]"
+                             % (lo, hi, self.valid_lo, self.valid_hi))
+        n, back = hi - lo + 1, self.mode is Mode.DIMENSIONAL
+        view = self._view(n, self.width if back else width, min(w.slot(lo), w.slot(hi)))
+        return lo, _repack(view, self.width, width, n, True) if back else view
 
     @property
     def coeffs(self):
         """{exponent: CoeffPoly} on the validity range in ascending order,
         zeros omitted: decoded from the packed ints on every read."""
-        rows = {}
-        for mono, terms in self._lpolys():
-            for e, c in terms:
-                rows.setdefault(e, {})[mono] = c
+        w, width, rows = self.ctx.window, self.width, {}
+        base, step = w.exponent(0), w.exponent(1) - w.exponent(0)
+        for mono, v in self.packed.items():
+            for s, c in enumerate(_digits(v, width, abs(v).bit_length() // width + 1)):
+                if c:
+                    rows.setdefault(base + step * s, {})[mono] = c
         return {e: CoeffPoly._trusted(self.g, rows[e]) for e in sorted(rows)}
 
     def coefficient(self, e):

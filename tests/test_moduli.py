@@ -32,8 +32,8 @@ from curvemotives.moduli import (
     x_identity_all,
     x_identity_delta,
 )
-from curvemotives.series import (CoeffPoly, GenusContext, Mode, MotiveSeries, _digits,
-                                  _value_class, lefschetz_power, one, zero)
+from curvemotives.series import (CoeffPoly, Comparison, GenusContext, Mode, MotiveSeries,
+                                  _digits, _value_class, lefschetz_power, one, zero)
 
 
 def test_m2_genus2_table():
@@ -461,6 +461,73 @@ def test_cross_mode_agreement_refuses_an_empty_range():
     with pytest.raises(ValueError, match="no shared validity range to compare on"):
         cross_mode_agreement(one(ctx), one(ctx), 5, 3)
     assert cross_mode_agreement(one(ctx), one(ctx), 3, 3)
+
+
+def _cross_mode_reference(x, y, lo, hi):
+    """cross_mode_agreement on the decoded coefficient tables, exponent by
+    exponent: the comparison before it read the packed ints."""
+    if lo > hi:
+        raise ValueError("no shared validity range to compare on")
+    tx = x.coefficient_table(lo, hi)
+    ty = y.coefficient_table(lo, hi)
+    zx, zy = CoeffPoly.zero(x.g), CoeffPoly.zero(y.g)
+    for e in sorted(set(tx) | set(ty)):
+        mine, theirs = tx.get(e, zx), ty.get(e, zy)
+        if mine != theirs:
+            return Comparison(False, lo, hi, e, mine - theirs)
+    return Comparison(True, lo, hi)
+
+
+def _comparison_or_error(compare, x, y, lo, hi):
+    try:
+        return compare(x, y, lo, hi)
+    except ValueError as exc:
+        return str(exc)
+
+
+_near_2_70 = st.integers(-4, 4).map(lambda c: 2 ** 70 + c if c % 2 else -2 ** 70 - c)
+
+
+@st.composite
+def _cross_mode_pairs(draw):
+    """A dimensional class and an adic one over one genus: equal, differing
+    at one slot, or with a monomial on one side only; coefficients small or
+    near 2^70, so the two sides may have different slot widths."""
+    g = draw(st.integers(2, 3))
+    mono = st.tuples(*[st.integers(0, 2)] * g)
+    coeff = draw(st.sampled_from([st.integers(-3, 3), _near_2_70]))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 8), mono), coeff, max_size=8))
+    other = dict(terms)
+    kind = draw(st.sampled_from(["slot", "one-sided", "equal"]))
+    extra = draw(st.sampled_from([st.integers(-3, 3), _near_2_70])).filter(bool)
+    if kind == "slot":
+        key = draw(st.sampled_from(sorted(terms)) if terms else st.tuples(st.integers(0, 8), mono))
+        other[key] = other.get(key, 0) + draw(extra)
+    elif kind == "one-sided":
+        m = draw(mono.filter(lambda m: all(k[1] != m for k in terms)))
+        for e in draw(st.lists(st.integers(0, 8), min_size=1, max_size=3)):
+            other[e, m] = draw(extra)
+
+    def build(ctx, table):
+        coeffs = {}
+        for (e, m), c in table.items():
+            coeffs.setdefault(e, {})[m] = c
+        return MotiveSeries(ctx, {e: CoeffPoly(g, t) for e, t in coeffs.items()})
+
+    x = build(GenusContext.dimensional(g, lo=-2, hi=10), terms)
+    y = build(GenusContext.adic(g, hi=draw(st.sampled_from([8, 10]))), other)
+    # mostly inside both validity ranges, [0, 8] or [0, 10], at times not
+    lo = draw(st.integers(-1, 8))
+    return x, y, lo, draw(st.integers(lo, 9))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_cross_mode_pairs())
+def test_cross_mode_agreement_matches_the_decoded_tables(pair):
+    x, y, lo, hi = pair
+    for a, b in ((x, y), (y, x)):
+        want = _comparison_or_error(_cross_mode_reference, a, b, lo, hi)
+        assert _comparison_or_error(cross_mode_agreement, a, b, lo, hi) == want
 
 
 def test_comparisons_subtract_only_for_the_witness(monkeypatch):

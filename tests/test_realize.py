@@ -349,14 +349,22 @@ def test_poincare_and_count_zero_class_and_cancellation():
     assert realize(cls, data) == _realize_reference(cls, data)
 
 
+_near_2_70 = st.integers(-4, 4).map(lambda c: 2 ** 70 + c if c % 2 else -2 ** 70 - c)
+
+
 @st.composite
 def _polynomial_classes(draw):
-    g = draw(st.integers(2, 4))
-    ctx = GenusContext.adic(g, hi=12)
+    # adic windows from L^0, below it and above it, dimensional windows
+    # from L^0 or below it, and coefficients small or near 2^70
+    g, lo = draw(st.integers(2, 4)), draw(st.sampled_from([0, -3, 2]))
+    if draw(st.booleans()):
+        ctx = GenusContext.adic(g, hi=12, lo=lo)
+    else:
+        ctx = GenusContext.dimensional(g, lo=min(lo, 0), hi=12)
+    coeff = draw(st.sampled_from([st.integers(-3, 3), _near_2_70]))
     mono = st.tuples(*[st.integers(0, 2)] * g)
-    coeffs = {e: CoeffPoly(g, draw(st.dictionaries(mono, st.integers(-3, 3),
-                                                    max_size=4)))
-              for e in draw(st.lists(st.integers(0, 12), max_size=5))}
+    coeffs = {e: CoeffPoly(g, draw(st.dictionaries(mono, coeff, max_size=4)))
+              for e in draw(st.lists(st.integers(max(lo, 0), 12), max_size=5))}
     return MotiveSeries(ctx, coeffs)
 
 
